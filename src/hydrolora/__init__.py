@@ -26,6 +26,7 @@ from .lora import (
     SfAssignment,
     adr_assign,
     airtime,
+    assign_sfs,
     link_rssi_matrix,
     path_loss_db,
     rssi,
@@ -55,7 +56,7 @@ from .sim import (
     EnergyReport,
     SimulationResult,
     TrafficModel,
-    TransmissionRecord,
+    Transmissions,
     WirelessFeatures,
     export_wireless_csv,
     simulate,
@@ -89,11 +90,12 @@ __all__ = [
     "SfAssignment",
     "SimulationResult",
     "TrafficModel",
-    "TransmissionRecord",
+    "Transmissions",
     "WaterNetwork",
     "WirelessFeatures",
     "adr_assign",
     "airtime",
+    "assign_sfs",
     "build_adjacency",
     "build_network",
     "degree_centrality",

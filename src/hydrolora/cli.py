@@ -8,13 +8,14 @@ plotting is left to external tools.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 
 from .errors import HydroLoraError
 from .graph import build_adjacency, centrality_csv, degree_centrality, graph_stats
-from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights
+from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights, weights_csv
 from .inp import read_inp
 from .orchestrator import ScenarioConfig, kpi_search, run_scenario
 from .placement import export_gateways_csv, place
@@ -97,10 +98,14 @@ def _weights_pipeline(args):
     return net, cv, flows, fw
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout when ``path`` is None, else the file at ``path``, closed on exit."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def cmd_parse(args) -> int:
@@ -116,28 +121,15 @@ def cmd_graph(args) -> int:
         print(json.dumps(graph_stats(adj).as_dict(), indent=2, sort_keys=True))
         return 0
     cv = degree_centrality(adj)
-    if args.csv == "-":
-        centrality_csv(cv, sys.stdout)
-    else:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            centrality_csv(cv, handle)
+    with _output(None if args.csv == "-" else args.csv) as stream:
+        centrality_csv(cv, stream)
     return 0
 
 
 def cmd_weights(args) -> int:
-    import csv as _csv
-
     _, cv, flows, fw = _weights_pipeline(args)
-    stream, owned = _open_out(args)
-    try:
-        writer = _csv.writer(stream, lineterminator="\n")
-        writer.writerow(["node_id", "centrality", "flow", "weight"])
-        for i, node_id in enumerate(cv.node_ids):
-            writer.writerow([node_id, repr(float(cv.centrality[i])),
-                             repr(float(flows[i])), repr(float(fw.weight[i]))])
-    finally:
-        if owned:
-            stream.close()
+    with _output(args.out) as stream:
+        weights_csv(cv, flows, fw, stream)
     return 0
 
 
@@ -149,12 +141,8 @@ def cmd_place(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         snap_to_nodes=args.snap,
     )
-    stream, owned = _open_out(args)
-    try:
+    with _output(args.out) as stream:
         export_gateways_csv(gateways, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 

@@ -266,3 +266,11 @@ def placement_weights(cv: CentralityVector, flows: np.ndarray, alpha: float = 0.
     weight = alpha * c_norm + (1.0 - alpha) * f_norm
     cv.weight = weight.copy()
     return FlowWeight(flow_norm=f_norm, weight=weight)
+
+
+def weights_csv(cv: CentralityVector, flows, fw: FlowWeight, out) -> None:
+    """Write ``node_id,centrality,flow,weight`` rows to a writable text stream."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["node_id", "centrality", "flow", "weight"])
+    writer.writerows([node_id, repr(float(c)), repr(float(f)), repr(float(w))]
+                     for node_id, c, f, w in zip(cv.node_ids, cv.centrality, flows, fw.weight))

@@ -163,17 +163,19 @@ class SfAssignment:
     best_rssi_dbm: float
 
 
-def smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, bool]:
-    """Smallest SF whose sensitivity clears the RSSI minus the ADR margin.
+def assign_sfs(best_rssi_dbm, cfg: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest SF whose sensitivity clears each best-gateway RSSI minus the ADR
+    margin, or the largest SF flagged coverage-marginal where none does."""
+    budget = np.asarray(best_rssi_dbm, dtype=np.float64)[..., None] - cfg.adr_margin_db
+    feasible = np.array([cfg.sensitivity_dbm[sf] for sf in cfg.sfs()]) <= budget  # upward closed in SF
+    marginal = ~feasible.any(axis=-1)
+    return np.where(marginal, cfg.sf_max, cfg.sf_min + feasible.argmax(axis=-1)).astype(np.int64), marginal
 
-    Falls back to the largest SF, flagged coverage-marginal, when even that
-    one misses the margin.
-    """
-    budget = best_rssi_dbm - cfg.adr_margin_db
-    for sf in cfg.sfs():
-        if cfg.sensitivity_dbm[sf] <= budget:
-            return sf, False
-    return cfg.sf_max, True
+
+def smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, bool]:
+    """Scalar ``assign_sfs``: the SF and the coverage-marginal flag."""
+    sf, marginal = assign_sfs(best_rssi_dbm, cfg)
+    return int(sf), bool(marginal)
 
 
 def adr_assign(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySweep, HydroLoraError, PredicateError, ScenarioError
 from .graph import build_adjacency, centrality_csv, degree_centrality, graph_stats
-from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights
+from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights, weights_csv
 from .inp import read_inp
 from .lora import EnergyModel, PropagationModel, RadioConfig
 from .placement import STRATEGIES, GatewaySet, export_gateways_csv, place
@@ -72,8 +73,8 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.horizon_s < 0:
-            raise ConfigError("horizon_s must be nonnegative")
+        if not 0 <= self.horizon_s < math.inf:
+            raise ConfigError(f"horizon_s must be finite and nonnegative, got {self.horizon_s}")
         if (self.hydraulic_node_csv is None) != (self.hydraulic_link_csv is None):
             raise ConfigError("hydraulic CSVs must be given as a node/link pair")
 
@@ -283,7 +284,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         with open(outdir / "centrality.csv", "w", encoding="utf-8", newline="") as handle:
             centrality_csv(prepared.cv, handle)
-        _write_weights_csv(prepared, outdir / "weights.csv")
+        with open(outdir / "weights.csv", "w", encoding="utf-8", newline="") as handle:
+            weights_csv(prepared.cv, prepared.flows, prepared.fw, handle)
 
     rows: list[ComparisonRow] = []
     runs: list[RunSummary] = []
@@ -297,17 +299,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if outdir is not None:
         export_comparison(table, outdir)
     return ScenarioResult(config=cfg, table=table, runs=runs, outdir=outdir)
-
-
-def _write_weights_csv(prepared: _Prepared, path: Path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["node_id", "centrality", "flow", "weight"])
-        for i, node_id in enumerate(prepared.cv.node_ids):
-            writer.writerow([node_id, repr(float(prepared.cv.centrality[i])),
-                             repr(float(prepared.flows[i])), repr(float(prepared.fw.weight[i]))])
 
 
 def export_comparison(table: ComparisonTable, outdir) -> dict[str, Path]:

@@ -1,16 +1,28 @@
-"""Deterministic discrete-event simulation of a LoRaWAN uplink network.
+"""Deterministic, columnar simulation of a LoRaWAN uplink network.
 
 One end device sits at every water-network node; gateways sit wherever the
 placement strategy put them.  SFs are assigned once by ADR before traffic
-starts (steady-state view), then the event loop walks a time-ordered queue
-of transmissions over the horizon.
+starts (steady-state view).  No device reacts to another (no ACKs, no
+retransmissions), so every stage works on whole arrays.
 
-Reception model, first order: a copy of an uplink is received by a gateway
-iff its static link RSSI clears the SF sensitivity.  Two transmissions
-collide at a gateway iff they overlap in time on the same channel and the
-same SF (different SFs are treated orthogonal); the stronger copy survives
-if it exceeds the other by the capture threshold, otherwise both die at that
-gateway.  A packet is delivered if any gateway keeps a copy.
+Traffic: each device consumes its own substream of the master seed in blocks
+of 256 draws.  Poisson traffic alternates ``exponential(256)`` gaps with
+``integers(256)`` channel picks.  Periodic traffic draws a ``uniform`` phase
+(unless ``first_offset_s`` fixes it), then alternates ``integers(256)`` with
+the jitter draws, made only when ``jitter_s > 0``.  Start times are one
+sequential cumulative sum of ``max(gap, airtime / duty_cycle_limit)`` (the
+first start is not floored), exactly ``max(t + gap, t + floor)`` per uplink
+since rounding is monotone.  A device stops at the horizon or when its
+battery cannot afford another uplink, and draws more blocks while it can go on.
+
+Reception model, first order: a gateway hears a copy of an uplink iff the
+static link RSSI clears the SF sensitivity.  Uplinks are ordered by start
+time, then device index; an earlier uplink a and a later uplink b overlap iff
+they share channel and SF (different SFs are orthogonal) and
+``time_b < time_a + airtime`` (half-open windows).  At each of its device's
+hearable gateways an overlapped copy survives iff it beats the strongest
+overlapping copy there by the capture threshold.  A packet is delivered if
+any gateway keeps a copy; its best gateway is the strongest one that does.
 
 Energy is transmit-only: each uplink costs V * I * airtime.  Per-device
 energy is count * cost (the cost is constant per device once ADR fixed the
@@ -24,17 +36,21 @@ inputs and independent of gateway layout.
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InvalidSf, NoDevices, NoGateways
 from .inp import WaterNetwork
-from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, link_rssi_matrix, smallest_feasible_sf
+from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
 from .rng import substream
+
+ROUND = 256  # draws per block: the unit in which a device consumes its substream
+_ROWS_PER_WRITE = 1 << 16  # CSV rows formatted at a time, which bounds the memory of the strings
+OUTCOMES = ("delivered", "no_coverage", "collided")
 
 
 @dataclass(frozen=True)
@@ -68,12 +84,8 @@ class EndDeviceState:
     """Final per-device state after a run."""
 
     id: str
-    index: int
-    x: float
-    y: float
     sf: int
     coverage_marginal: bool
-    period_s: float
     battery_j: float
     sent: int = 0
     delivered: int = 0
@@ -82,20 +94,37 @@ class EndDeviceState:
     energy_j: float = 0.0
 
 
-@dataclass(slots=True)
-class TransmissionRecord:
-    """One uplink attempt and its network-wide outcome."""
+@dataclass(frozen=True)
+class Transmissions:
+    """Every uplink attempt of a run as columns, in start order (time, then
+    device index).  ``outcome_code`` indexes OUTCOMES; ``best_gw_index`` is
+    the strongest gateway that kept a copy, -1 when none did."""
 
-    time_s: float
-    device_id: str
-    device_index: int
-    channel_hz: int
-    sf: int
-    airtime_s: float
-    gateway_rssi_dbm: np.ndarray  # shared (K,) view of the static link budget
-    outcome: str = ""  # delivered | no_coverage | collided
-    best_gw: str = ""  # strongest surviving gateway, empty if none
-    best_rssi_dbm: float = math.nan
+    time_s: np.ndarray
+    device_index: np.ndarray
+    channel_hz: np.ndarray
+    sf: np.ndarray
+    airtime_s: np.ndarray
+    best_rssi_dbm: np.ndarray
+    outcome_code: np.ndarray
+    best_gw_index: np.ndarray
+    device_ids: np.ndarray  # (N,) indexed by device_index
+    gateway_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    @property
+    def device_id(self) -> np.ndarray:
+        return self.device_ids[self.device_index]
+
+    @property
+    def outcome(self) -> np.ndarray:
+        return np.array(OUTCOMES)[self.outcome_code]
+
+    @property
+    def best_gw(self) -> np.ndarray:
+        return np.array([*self.gateway_ids, ""])[self.best_gw_index]
 
 
 @dataclass
@@ -127,7 +156,7 @@ class EnergyReport:
 @dataclass
 class SimulationResult:
     devices: list[EndDeviceState]
-    records: list[TransmissionRecord]
+    records: Transmissions
     features: WirelessFeatures
     energy: EnergyReport
     link_rssi_dbm: np.ndarray  # (N, K) static received power
@@ -138,64 +167,105 @@ class SimulationResult:
     energy_model: EnergyModel
 
 
-class _DeviceTraffic:
-    """Chunked draws from one device's private substream.
+def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndarray,
+             max_sends: np.ndarray, horizon_s: float):
+    """Start times, device indices and channel picks of every uplink, device-major.
+    Each round draws one block per still-active device, in the documented order."""
+    n = len(min_gap)
+    periodic = traffic.mode == "periodic"
+    active = np.flatnonzero(max_sends > 0) if horizon_s > 0 else np.arange(0)
+    rngs = {i: substream(seed, "traffic", i) for i in active.tolist()}
+    sent = np.zeros(n, dtype=np.int64)
+    last = np.zeros(n)  # start of each device's latest uplink
+    # Periodic: the gap the next round starts with; the first round starts at the phase.
+    pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
+    parts = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    first = True
+    while active.size:
+        gaps = np.zeros((active.size, ROUND))
+        picks = np.empty((active.size, ROUND), dtype=np.int64)
+        for row, i in enumerate(active.tolist()):
+            rng = rngs[i]
+            if not periodic:
+                gaps[row] = rng.exponential(traffic.period_s, size=ROUND)
+            elif first and traffic.first_offset_s is None:
+                pending[i] = rng.uniform(0.0, traffic.period_s)
+            picks[row] = rng.integers(0, n_channels, size=ROUND)
+            if periodic and traffic.jitter_s > 0:
+                gaps[row] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
+        if periodic:
+            # Uplink s waits for the gap drawn after uplink s - 1: shift by one.
+            drawn = np.maximum(traffic.period_s + gaps, 0.0)
+            gaps[:, 0] = pending[active]
+            gaps[:, 1:] = drawn[:, :-1]
+            pending[active] = drawn[:, -1]
+        steps = np.maximum(gaps, min_gap[active, None])
+        if first:
+            steps[:, 0] = gaps[:, 0]  # the first start is not floored
+        else:
+            steps = np.hstack([last[active, None], steps])
+        times = np.cumsum(steps, axis=1)[:, -ROUND:]
 
-    The call sequence per device is fixed by its own event history, so the
-    stream is independent of how events interleave across devices.
+        count = np.minimum((times < horizon_s).sum(axis=1), max_sends[active] - sent[active])
+        take = np.arange(ROUND) < count[:, None]
+        parts.append((times[take], np.repeat(active, count), picks[take]))
+        sent[active] += count
+        last[active] = times[:, -1]
+        active = active[(count == ROUND) & (sent[active] < max_sends[active])]
+        first = False
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _outcomes(time_s, device, group, airtime_s, link_rssi, hearable, capture_db):
+    """Outcome code and best gateway index of every uplink, given in start order.
+
+    Overlap: within a (channel, SF) group the airtime is constant, so an
+    uplink's partners are its nearest predecessors in the group; sweep
+    offsets d = 1, 2, ... over the uplinks that still overlapped at d - 1.
+    Capture is resolved only for overlapped uplinks of covered devices, at
+    their hearable gateways, strongest first: the first gateway where the
+    copy beats every partner by the threshold is the strongest surviving one.
     """
+    hear_any = hearable.any(axis=1)
+    outcome = np.where(hear_any[device], 0, 1).astype(np.int8)  # delivered, else no_coverage
+    best_gw = np.where(hear_any[device], np.where(hearable, link_rssi, -np.inf).argmax(axis=1)[device], -1)
 
-    __slots__ = ("rng", "traffic", "n_channels", "_gaps", "_gap_pos", "_channels", "_chan_pos")
+    by_group = np.argsort(group, kind="stable")
+    t, g, end = time_s[by_group], group[by_group], (time_s + airtime_s)[by_group]
+    later_parts, earlier_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    later, d = np.arange(1, len(t)), 1
+    while later.size:
+        later = later[(g[later] == g[later - d]) & (t[later] < end[later - d])]
+        later_parts.append(by_group[later])
+        earlier_parts.append(by_group[later - d])
+        later, d = later[later > d], d + 1
+    receiver = np.concatenate(later_parts + earlier_parts)
+    interferer = np.concatenate(earlier_parts + later_parts)
+    covered = hear_any[device[receiver]]
+    contested, slot = np.unique(receiver[covered], return_inverse=True)
+    interferer = device[interferer[covered]]
+    outcome[contested], best_gw[contested] = OUTCOMES.index("collided"), -1
 
-    def __init__(self, seed: int, index: int, traffic: TrafficModel, n_channels: int):
-        self.rng = substream(seed, "traffic", index)
-        self.traffic = traffic
-        self.n_channels = n_channels
-        self._gaps: list[float] = []
-        self._gap_pos = 0
-        self._channels: list[int] = []
-        self._chan_pos = 0
-
-    def first_start(self) -> float:
-        if self.traffic.mode == "periodic":
-            if self.traffic.first_offset_s is not None:
-                return self.traffic.first_offset_s
-            return float(self.rng.uniform(0.0, self.traffic.period_s))
-        return self.next_gap()
-
-    def next_gap(self) -> float:
-        if self._gap_pos >= len(self._gaps):
-            if self.traffic.mode == "poisson":
-                gaps = self.rng.exponential(self.traffic.period_s, size=256)
-            else:
-                jitter = self.traffic.jitter_s
-                offsets = self.rng.uniform(-jitter, jitter, size=256) if jitter > 0 else np.zeros(256)
-                gaps = np.maximum(self.traffic.period_s + offsets, 0.0)
-            self._gaps = gaps.tolist()
-            self._gap_pos = 0
-        gap = self._gaps[self._gap_pos]
-        self._gap_pos += 1
-        return gap
-
-    def next_channel(self) -> int:
-        if self._chan_pos >= len(self._channels):
-            self._channels = self.rng.integers(0, self.n_channels, size=256).tolist()
-            self._chan_pos = 0
-        channel = self._channels[self._chan_pos]
-        self._chan_pos += 1
-        return channel
-
-
-def _assign_sfs(best_rssi: np.ndarray, cfg: RadioConfig, force_sf: int | None) -> tuple[np.ndarray, np.ndarray]:
-    if force_sf is not None:
-        if force_sf not in cfg.sfs():
-            raise InvalidSf(f"force_sf={force_sf} outside {cfg.sf_min}..{cfg.sf_max}")
-        return (np.full(len(best_rssi), force_sf, dtype=np.int64), np.zeros(len(best_rssi), dtype=bool))
-    sfs = np.empty(len(best_rssi), dtype=np.int64)
-    marginal = np.zeros(len(best_rssi), dtype=bool)
-    for i, value in enumerate(best_rssi):
-        sfs[i], marginal[i] = smallest_feasible_sf(float(value), cfg)
-    return sfs, marginal
+    # Hearable gateways of every device, strongest first; stable, so equals keep index order.
+    hear_dev, hear_gw = np.nonzero(hearable)
+    hear_gw = hear_gw[np.lexsort((-link_rssi[hear_dev, hear_gw], hear_dev))]
+    first_gw = np.searchsorted(hear_dev, np.arange(len(hearable) + 1))
+    tries = np.diff(first_gw)[device[contested]]
+    undecided, rank = np.arange(len(contested)), 0
+    gw_of = np.zeros(len(contested), dtype=np.int64)
+    while undecided.size:
+        gw_of[undecided] = hear_gw[first_gw[device[contested[undecided]]] + rank]
+        strongest = np.full(len(contested), -np.inf)
+        np.maximum.at(strongest, slot, link_rssi[interferer, gw_of[slot]])
+        own = link_rssi[device[contested[undecided]], gw_of[undecided]]
+        won = own >= strongest[undecided] + capture_db
+        outcome[contested[undecided[won]]] = OUTCOMES.index("delivered")
+        best_gw[contested[undecided[won]]] = gw_of[undecided[won]]
+        rank += 1
+        undecided = undecided[~won & (tries[undecided] > rank)]
+        keep = np.isin(slot, undecided)
+        slot, interferer = slot[keep], interferer[keep]
+    return outcome, best_gw
 
 
 def simulate(
@@ -211,7 +281,7 @@ def simulate(
     force_sf: int | None = None,
     battery_sample_s: float = 3600.0,
 ) -> SimulationResult:
-    """Run one uplink scenario: ADR, traffic event loop, collision resolution.
+    """Run one uplink scenario: ADR, traffic, overlap and capture, energy.
 
     ``gateways`` is a GatewaySet or any (K, 2) coordinate sequence.  Identical
     inputs and seed reproduce the transmission stream bit-exactly.  A device
@@ -224,95 +294,79 @@ def simulate(
         raise NoDevices("network has no nodes to host devices")
     if gw_xy.shape[0] == 0 or gw_xy.size == 0:
         raise NoGateways("need at least one gateway")
-    if horizon_s < 0:
-        raise ValueError("horizon_s must be nonnegative")
+    if not 0 <= horizon_s < math.inf:
+        raise ValueError("horizon_s must be finite and nonnegative")
 
-    n = net.node_count
-    k = gw_xy.shape[0]
-    device_xy = net.coordinates()
+    n, k = net.node_count, len(gw_xy)
     gateway_ids = [f"gw{j:03d}" for j in range(k)]
 
     shadowing = None
     if propagation.shadowing_sigma_db > 0:
         shadowing = substream(seed, "shadowing").normal(0.0, propagation.shadowing_sigma_db, size=(n, k))
-    link_rssi = link_rssi_matrix(device_xy, gw_xy, cfg, propagation, shadowing)
+    link_rssi = link_rssi_matrix(net.coordinates(), gw_xy, cfg, propagation, shadowing)
 
     best_rssi = link_rssi.max(axis=1)
-    sfs, marginal = _assign_sfs(best_rssi, cfg, force_sf)
+    if force_sf is None:
+        sfs, marginal = assign_sfs(best_rssi, cfg)
+    elif force_sf in cfg.sfs():
+        sfs, marginal = np.full(n, force_sf, dtype=np.int64), np.zeros(n, dtype=bool)
+    else:
+        raise InvalidSf(f"force_sf={force_sf} outside {cfg.sf_min}..{cfg.sf_max}")
 
-    airtime_by_sf = {sf: airtime(sf, cfg) for sf in cfg.sfs()}
-    energy_by_sf = {sf: energy_model.uplink_energy_j(cfg.tx_power_dbm, airtime_by_sf[sf]) for sf in cfg.sfs()}
+    # Per-SF constants, indexed by sf - sf_min, then per device.
+    airtimes = [airtime(sf, cfg) for sf in cfg.sfs()]
+    energies = [energy_model.uplink_energy_j(cfg.tx_power_dbm, a) for a in airtimes]
+    airtime_by_sf = np.array(airtimes)
+    sf_slot = sfs - cfg.sf_min
+    uplink_j = np.array(energies)[sf_slot]
+    # Uplinks the battery affords, as Python float floor division per device.
+    max_sends = np.array([min(int(energy_model.initial_battery_j // energies[s]), np.iinfo(np.int64).max)
+                          for s in sf_slot.tolist()], dtype=np.int64)
     # Duty cycle caps the start-to-start pace at airtime / limit.
-    min_gap_by_sf = {sf: airtime_by_sf[sf] / cfg.duty_cycle_limit for sf in cfg.sfs()}
+    min_gap = airtime_by_sf[sf_slot] / cfg.duty_cycle_limit
 
-    sens_of = {sf: cfg.sensitivity_dbm[sf] for sf in cfg.sfs()}
+    time_s, device, pick = _traffic(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
+    order = np.lexsort((device, time_s))
+    time_s, device, pick = time_s[order], device[order], pick[order]
+    uplink_sf_slot = sf_slot[device]
+    hearable = link_rssi >= np.array([cfg.sensitivity_dbm[sf] for sf in sfs.tolist()])[:, None]
+    outcome, best_gw = _outcomes(time_s, device, pick * len(airtimes) + uplink_sf_slot,
+                                 airtime_by_sf[uplink_sf_slot], link_rssi, hearable, cfg.capture_threshold_db)
 
-    # Per-device fast-path reception facts (static geometry).
-    hearable = link_rssi >= np.array([sens_of[sf] for sf in sfs])[:, None]
-    hear_any = hearable.any(axis=1)
-    masked = np.where(hearable, link_rssi, -np.inf)
-    best_hear_gw = masked.argmax(axis=1)
+    records = Transmissions(
+        time_s=time_s, device_index=device,
+        channel_hz=np.asarray(cfg.channels_hz, dtype=np.int64)[pick], sf=sfs[device],
+        airtime_s=airtime_by_sf[uplink_sf_slot], best_rssi_dbm=best_rssi[device],
+        outcome_code=outcome, best_gw_index=best_gw,
+        device_ids=np.array([node.id for node in net.nodes]), gateway_ids=tuple(gateway_ids),
+    )
 
-    devices = [
-        EndDeviceState(
-            id=node.id, index=i, x=float(device_xy[i, 0]), y=float(device_xy[i, 1]),
-            sf=int(sfs[i]), coverage_marginal=bool(marginal[i]), period_s=traffic.period_s,
-            battery_j=energy_model.initial_battery_j,
-        )
-        for i, node in enumerate(net.nodes)
-    ]
-
-    # Event loop: one (time, device) entry per pending transmission.
-    streams = [_DeviceTraffic(seed, i, traffic, len(cfg.channels_hz)) for i in range(n)]
-    max_sends = [int(energy_model.initial_battery_j // energy_by_sf[int(sfs[i])]) for i in range(n)]
-    records: list[TransmissionRecord] = []
-    tx_times: list[list[float]] = [[] for _ in range(n)]
-
-    heap: list[tuple[float, int]] = []
-    if horizon_s > 0:
-        for i in range(n):
-            start = streams[i].first_start()
-            if start < horizon_s and max_sends[i] > 0:
-                heapq.heappush(heap, (start, i))
-
-    while heap:
-        t, i = heapq.heappop(heap)
-        stream = streams[i]
-        channel = int(cfg.channels_hz[stream.next_channel()])
-        dev = devices[i]
-        dev.sent += 1
-        tx_times[i].append(t)
-        duration = airtime_by_sf[dev.sf]
-        records.append(
-            TransmissionRecord(
-                time_s=t, device_id=dev.id, device_index=i, channel_hz=channel,
-                sf=dev.sf, airtime_s=duration, gateway_rssi_dbm=link_rssi[i],
-            )
-        )
-        if dev.sent >= max_sends[i]:
-            continue  # battery cannot afford another uplink
-        next_t = max(t + stream.next_gap(), t + min_gap_by_sf[dev.sf])
-        if next_t < horizon_s:
-            heapq.heappush(heap, (next_t, i))
-
-    _resolve_outcomes(records, link_rssi, hear_any, best_hear_gw, sens_of, gateway_ids,
-                      cfg.capture_threshold_db, devices)
-
+    sent = np.bincount(device, minlength=n)
+    counts = [np.bincount(device[outcome == code], minlength=n) for code in range(len(OUTCOMES))]
     # Energy: per-device count times constant per-uplink cost, exact.
-    per_device_j = np.array([devices[i].sent * energy_by_sf[devices[i].sf] for i in range(n)])
-    for i in range(n):
-        devices[i].energy_j = float(per_device_j[i])
-        devices[i].battery_j = energy_model.initial_battery_j - devices[i].energy_j
+    per_device_j = sent * uplink_j
+    battery_end = energy_model.initial_battery_j - per_device_j
+    devices = [EndDeviceState(*row) for row in zip(
+        [node.id for node in net.nodes], sfs.tolist(), marginal.tolist(), battery_end.tolist(), sent.tolist(),
+        *(c.tolist() for c in counts), per_device_j.tolist())]
 
     sample_times = np.arange(0.0, horizon_s + battery_sample_s / 2, battery_sample_s)
     if len(sample_times) == 0:
         sample_times = np.array([0.0])
-    battery = np.empty((n, len(sample_times)))
-    for i in range(n):
-        counts = np.searchsorted(np.asarray(tx_times[i]), sample_times, side="right")
-        battery[i] = energy_model.initial_battery_j - counts * energy_by_sf[devices[i].sf]
+    # An uplink drains the battery from the first sample at or after its start.
+    slot = np.searchsorted(sample_times, time_s, side="left")
+    width = len(sample_times) + 1
+    drained = np.bincount(device * width + slot, minlength=n * width).reshape(n, width).cumsum(axis=1)
+    battery = energy_model.initial_battery_j - drained[:, :-1] * uplink_j[:, None]
 
-    features = _collect_features(devices, sfs, best_rssi, cfg)
+    delivered, lost_nc, lost_col = (int(c.sum()) for c in counts)
+    features = WirelessFeatures(
+        sf_per_device=sfs.copy(), best_rssi_dbm=best_rssi.copy(),
+        pdr_per_device=np.divide(counts[0], sent, out=np.full(n, math.nan), where=sent > 0),
+        sf_histogram={sf: int((sfs == sf).sum()) for sf in cfg.sfs()},
+        sent=len(time_s), delivered=delivered, lost_no_coverage=lost_nc, lost_collision=lost_col,
+        pdr=delivered / len(time_s) if len(time_s) else math.nan, mean_sf=float(sfs.mean()),
+    )
     total_j = sum(float(v) for v in per_device_j)
     energy = EnergyReport(per_device_j=per_device_j, total_j=total_j,
                           sample_times_s=sample_times, battery_j=battery)
@@ -323,77 +377,32 @@ def simulate(
     )
 
 
-def _resolve_outcomes(records, link_rssi, hear_any, best_hear_gw, sens_of, gateway_ids,
-                      capture_db, devices) -> None:
-    """Classify every transmission as delivered, no_coverage, or collided.
+def _csv_fields(values) -> np.ndarray:
+    """Each value as one CSV field, quoted exactly as ``csv.writer`` quotes it."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
+    return np.array([writer.writerow([value, ""])[:-2] for value in values], dtype=object)
 
-    Overlap windows are half-open [start, start + airtime): copies whose
-    intervals merely touch do not interfere.  For each record the strongest
-    overlapping same-channel same-SF interferer per gateway is tracked; a
-    copy survives where it beats that maximum by the capture threshold.
+
+def _distinct(values: np.ndarray):
+    """A (table, index) column that formats each distinct value once, as ``repr``."""
+    table, index = np.unique(values, return_inverse=True)
+    return np.array(list(map(repr, table.tolist())), dtype=object), index
+
+
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write ``header`` and then the rows, built column by column.
+
+    Each column is a pair (table, index): row r holds ``table[index[r]]``, a
+    ready field.  A column whose table is None holds numbers, written as
+    ``repr``.
     """
-    interference: dict[int, np.ndarray] = {}
-    active: dict[tuple[int, int], list[tuple[float, int]]] = {}
-
-    for pos, rec in enumerate(records):  # records are in start-time order
-        key = (rec.channel_hz, rec.sf)
-        group = active.setdefault(key, [])
-        group[:] = [(end, other) for end, other in group if end > rec.time_s]
-        for _end, other in group:
-            other_rec = records[other]
-            row_self = link_rssi[rec.device_index]
-            row_other = link_rssi[other_rec.device_index]
-            for a, b_row in ((pos, row_other), (other, row_self)):
-                existing = interference.get(a)
-                if existing is None:
-                    interference[a] = b_row.copy()
-                else:
-                    np.maximum(existing, b_row, out=existing)
-        group.append((rec.time_s + rec.airtime_s, pos))
-
-    for pos, rec in enumerate(records):
-        i = rec.device_index
-        row = link_rssi[i]
-        rec.best_rssi_dbm = float(row.max())
-        dev = devices[i]
-        if not hear_any[i]:
-            rec.outcome = "no_coverage"
-            dev.lost_no_coverage += 1
-            continue
-        strongest = interference.get(pos)
-        if strongest is None:
-            rec.outcome = "delivered"
-            rec.best_gw = gateway_ids[int(best_hear_gw[i])]
-            dev.delivered += 1
-            continue
-        surviving = (row >= sens_of[rec.sf]) & (row >= strongest + capture_db)
-        if surviving.any():
-            rec.outcome = "delivered"
-            rec.best_gw = gateway_ids[int(np.where(surviving, row, -np.inf).argmax())]
-            dev.delivered += 1
-        else:
-            rec.outcome = "collided"
-            dev.lost_collision += 1
-
-
-def _collect_features(devices, sfs, best_rssi, cfg: RadioConfig) -> WirelessFeatures:
-    sent = sum(d.sent for d in devices)
-    delivered = sum(d.delivered for d in devices)
-    lost_nc = sum(d.lost_no_coverage for d in devices)
-    lost_col = sum(d.lost_collision for d in devices)
-    pdr_per_device = np.array([d.delivered / d.sent if d.sent else math.nan for d in devices])
-    histogram = {sf: int((sfs == sf).sum()) for sf in cfg.sfs()}
-    return WirelessFeatures(
-        sf_per_device=sfs.copy(), best_rssi_dbm=best_rssi.copy(), pdr_per_device=pdr_per_device,
-        sf_histogram=histogram, sent=sent, delivered=delivered,
-        lost_no_coverage=lost_nc, lost_collision=lost_col,
-        pdr=delivered / sent if sent else math.nan,
-        mean_sf=float(sfs.mean()),
-    )
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header + "\n")
+        for lo in range(0, len(columns[0][1]), _ROWS_PER_WRITE):
+            part = slice(lo, lo + _ROWS_PER_WRITE)
+            fields = [list(map(repr, index[part].tolist())) if table is None else table[index[part]].tolist()
+                      for table, index in columns]
+            handle.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
@@ -404,33 +413,30 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     battery.csv:       time_s,device_id,battery_j   (hourly samples)
 
     Row order is deterministic: transmissions by (time, device id), energy by
-    device order, battery time-major.
+    device order, battery time-major.  Numbers are written as ``repr``.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {name: outdir / f"{name}.csv" for name in ("transmissions", "energy", "battery")}
+    devices, recs = result.devices, result.records
+    ids = [dev.id for dev in devices]
+    id_fields, every_device = _csv_fields(ids), np.arange(len(ids))
 
-    with open(paths["transmissions"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time_s", "device_id", "channel_hz", "sf", "airtime_s",
-                         "best_gw", "best_rssi_dbm", "outcome"])
-        for rec in sorted(result.records, key=lambda r: (r.time_s, r.device_id)):
-            writer.writerow([_fmt(rec.time_s), rec.device_id, rec.channel_hz, rec.sf,
-                             _fmt(rec.airtime_s), rec.best_gw, _fmt(rec.best_rssi_dbm), rec.outcome])
-
-    with open(paths["energy"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["device_id", "sent", "delivered", "lost_no_coverage",
-                         "lost_collision", "energy_j", "battery_end_j"])
-        for dev in result.devices:
-            writer.writerow([dev.id, dev.sent, dev.delivered, dev.lost_no_coverage,
-                             dev.lost_collision, _fmt(dev.energy_j), _fmt(dev.battery_j)])
-
-    with open(paths["battery"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time_s", "device_id", "battery_j"])
-        for t_idx, t in enumerate(result.energy.sample_times_s):
-            for dev in result.devices:
-                writer.writerow([_fmt(t), dev.id, _fmt(result.energy.battery_j[dev.index, t_idx])])
-
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(every_device.tolist(), key=ids.__getitem__)] = every_device
+    order = np.lexsort((id_rank[recs.device_index], recs.time_s))
+    _write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
+        (None, recs.time_s[order]), (id_fields, recs.device_index[order]),
+        _distinct(recs.channel_hz[order]), _distinct(recs.sf[order]), _distinct(recs.airtime_s[order]),
+        (np.array([*result.gateway_ids, ""], dtype=object), recs.best_gw_index[order]),
+        _distinct(recs.best_rssi_dbm[order]), (np.array(OUTCOMES, dtype=object), recs.outcome_code[order]),
+    ])
+    fields = ("sent", "delivered", "lost_no_coverage", "lost_collision", "energy_j", "battery_j")
+    _write_csv(paths["energy"], "device_id,sent,delivered,lost_no_coverage,lost_collision,energy_j,battery_end_j",
+               [(id_fields, every_device)] + [(None, np.array([getattr(d, f) for d in devices])) for f in fields])
+    samples = len(result.energy.sample_times_s)
+    _write_csv(paths["battery"], "time_s,device_id,battery_j", [
+        _distinct(np.repeat(result.energy.sample_times_s, len(ids))),
+        (id_fields, np.tile(every_device, samples)), (None, result.energy.battery_j.T.ravel()),
+    ])
     return paths

@@ -144,6 +144,14 @@ class TestSweepAndKpi:
         for rel in a_files:
             assert (a_root / rel).read_bytes() == (b_root / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("horizon", ["NaN", "Infinity"])
+    def test_non_finite_horizon_is_config_error(self, capsys, config_file, horizon):
+        config_file.write_text(config_file.read_text().replace("900.0", horizon))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and "horizon_s" in err
+        assert err.count("\n") == 1
+
     def test_kpi_satisfiable(self, capsys, config_file):
         assert main(["kpi", "--config", str(config_file), "--predicate", "pdr>=0"]) == 0
         outcome = json.loads(capsys.readouterr().out)

@@ -13,6 +13,7 @@ from hydrolora import (
     RadioConfig,
     adr_assign,
     airtime,
+    assign_sfs,
     link_rssi_matrix,
     path_loss_db,
     rssi,
@@ -184,3 +185,18 @@ class TestAdrAssign:
         # exactly on the SF8 sensitivity: qualifies for SF8
         sf, marginal = smallest_feasible_sf(cfg.sensitivity_dbm[8] + cfg.adr_margin_db, cfg)
         assert (sf, marginal) == (8, False)
+
+    def test_assign_sfs_array_matches_scalar_scan(self):
+        """The array form agrees with the per-value SF scan, edges included,
+        under a narrowed SF range."""
+        for cfg in (RadioConfig(), RadioConfig(sf_min=8, sf_max=10)):
+            edges = [cfg.sensitivity_dbm[sf] + cfg.adr_margin_db for sf in cfg.sfs()]
+            rssi = np.array(edges + [e - 1e-9 for e in edges] + [-200.0, -60.0, np.nan, np.inf, -np.inf])
+            sfs, marginal = assign_sfs(rssi, cfg)
+            assert sfs.dtype == np.int64 and marginal.dtype == bool
+            for value, sf, flag in zip(rssi.tolist(), sfs.tolist(), marginal.tolist()):
+                budget = value - cfg.adr_margin_db
+                expected = next(((s, False) for s in cfg.sfs() if cfg.sensitivity_dbm[s] <= budget),
+                                (cfg.sf_max, True))
+                assert (sf, flag) == expected
+                assert smallest_feasible_sf(value, cfg) == expected

@@ -60,7 +60,12 @@ class TestSingleLink:
         result = simulate(single_device_net(), [(10.0, 0.0)], horizon_s=0.0, seed=1)
         assert result.features.sent == 0
         assert result.energy.total_j == 0.0
-        assert result.records == []
+        assert len(result.records) == 0
+
+    @pytest.mark.parametrize("horizon_s", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_horizon_rejected(self, horizon_s):
+        with pytest.raises(ValueError, match="horizon_s"):
+            simulate(single_device_net(), [(10.0, 0.0)], horizon_s=horizon_s)
 
     def test_no_gateways_rejected(self):
         with pytest.raises(NoGateways):
@@ -81,8 +86,8 @@ class TestCollisions:
         net = self.two_device_net((10, 0), (-10, 0))
         traffic = TrafficModel(mode="periodic", period_s=600.0, first_offset_s=0.0)
         result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=300.0, traffic=traffic, seed=0)
-        assert [r.outcome for r in result.records] == ["collided", "collided"]
-        assert all(r.best_gw == "" for r in result.records)
+        assert result.records.outcome.tolist() == ["collided", "collided"]
+        assert all(gw == "" for gw in result.records.best_gw)
         check_conservation(result)
 
     def test_capture_keeps_stronger_copy(self):
@@ -90,7 +95,7 @@ class TestCollisions:
         traffic = TrafficModel(mode="periodic", period_s=600.0, first_offset_s=0.0)
         result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=300.0,
                           traffic=traffic, force_sf=7, seed=0)
-        outcomes = {r.device_id: r.outcome for r in result.records}
+        outcomes = dict(zip(result.records.device_id.tolist(), result.records.outcome.tolist()))
         assert outcomes == {"D1": "delivered", "D2": "collided"}
 
     def test_different_channels_do_not_collide(self):
@@ -100,9 +105,9 @@ class TestCollisions:
         # seed chosen so the two devices draw different channels at t=0
         for seed in range(20):
             result = simulate(net, [(0.0, 0.0)], cfg, horizon_s=300.0, traffic=traffic, seed=seed)
-            channels = [r.channel_hz for r in result.records]
+            channels = result.records.channel_hz.tolist()
             if channels[0] != channels[1]:
-                assert all(r.outcome == "delivered" for r in result.records)
+                assert all(outcome == "delivered" for outcome in result.records.outcome)
                 return
         pytest.fail("no seed produced distinct channels")
 
@@ -111,14 +116,15 @@ class TestCollisions:
         net = self.two_device_net((10, 0), (2000, 0))
         traffic = TrafficModel(mode="periodic", period_s=600.0, first_offset_s=0.0)
         result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=300.0, traffic=traffic, seed=0)
-        sfs = {r.device_id: r.sf for r in result.records}
+        sfs = dict(zip(result.records.device_id.tolist(), result.records.sf.tolist()))
         assert sfs["D1"] != sfs["D2"]
-        assert all(r.outcome == "delivered" for r in result.records)
+        assert all(outcome == "delivered" for outcome in result.records.outcome)
 
     def test_out_of_range_device_no_coverage(self):
         net = self.two_device_net((10, 0), (60_000, 0))
         result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=1800.0, seed=3)
-        outcomes = {r.outcome for r in result.records if r.device_id == "D2"}
+        recs = result.records
+        outcomes = {outcome for outcome, device in zip(recs.outcome, recs.device_id) if device == "D2"}
         assert outcomes == {"no_coverage"}
         d2 = result.devices[1]
         assert d2.coverage_marginal and d2.sf == 12
@@ -129,10 +135,10 @@ class TestCollisions:
         # offsets 0 and none: periodic offset applies to both; stagger via period
         traffic = TrafficModel(mode="periodic", period_s=200.0, first_offset_s=None)
         result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=600.0, traffic=traffic, seed=5)
-        starts = sorted(r.time_s for r in result.records)
-        tx_len = result.records[0].airtime_s
+        starts = sorted(result.records.time_s.tolist())
+        tx_len = result.records.airtime_s[0]
         if all(b - a >= tx_len for a, b in zip(starts, starts[1:])):
-            assert all(r.outcome == "delivered" for r in result.records)
+            assert all(outcome == "delivered" for outcome in result.records.outcome)
 
 
 class TestDutyCycleAndBattery:
@@ -142,7 +148,7 @@ class TestDutyCycleAndBattery:
         traffic = TrafficModel(period_s=0.01)  # poisson, far below the floor
         result = simulate(net, [(10.0, 0.0)], cfg, horizon_s=60.0, traffic=traffic, seed=2)
         floor = airtime(7, cfg) / 0.5
-        times = [r.time_s for r in result.records]
+        times = result.records.time_s.tolist()
         gaps = np.diff(times)
         assert np.all(gaps >= floor - 1e-9)
         assert result.features.sent > 100  # pinned to the floor, not the mean
@@ -216,15 +222,16 @@ class TestDeterminism:
         net = make_network(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
         a = simulate(net, [(30.0, 0.0)], horizon_s=3600.0, seed=12)
         b = simulate(net, [(30.0, 0.0)], horizon_s=3600.0, seed=12)
-        assert [(r.time_s, r.device_id, r.channel_hz, r.sf, r.outcome) for r in a.records] == \
-               [(r.time_s, r.device_id, r.channel_hz, r.sf, r.outcome) for r in b.records]
+        columns = ("time_s", "device_id", "channel_hz", "sf", "outcome")
+        assert [getattr(a.records, c).tolist() for c in columns] == \
+               [getattr(b.records, c).tolist() for c in columns]
         assert a.energy.total_j == b.energy.total_j
 
     def test_different_seed_differs(self):
         net = make_network(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
         a = simulate(net, [(30.0, 0.0)], horizon_s=3600.0, seed=12)
         b = simulate(net, [(30.0, 0.0)], horizon_s=3600.0, seed=13)
-        assert [r.time_s for r in a.records] != [r.time_s for r in b.records]
+        assert a.records.time_s.tolist() != b.records.time_s.tolist()
 
     def test_traffic_stream_independent_of_gateways(self):
         """Same seed, different placement: identical uplink times when the
@@ -233,7 +240,7 @@ class TestDeterminism:
         cfg = dataclasses.replace(RadioConfig(), duty_cycle_limit=1.0)
         near = simulate(net, [(20.0, 0.0)], cfg, horizon_s=3600.0, seed=8, force_sf=7)
         far = simulate(net, [(2500.0, 0.0)], cfg, horizon_s=3600.0, seed=8, force_sf=7)
-        assert [r.time_s for r in near.records] == [r.time_s for r in far.records]
+        assert near.records.time_s.tolist() == far.records.time_s.tolist()
 
     def test_shadowing_fixed_per_pair(self):
         from hydrolora import PropagationModel
@@ -264,9 +271,10 @@ class TestExport:
         paths = export_wireless_csv(result, tmp_path)
         rows = paths["transmissions"].read_text().splitlines()
         assert len(rows) == 2
-        rec = result.records[0]
-        assert rows[1] == (f"{rec.time_s!r},D1,868100000,7,{rec.airtime_s!r},"
-                           f"gw000,{rec.best_rssi_dbm!r},delivered")
+        time_s, airtime_s, best_rssi_dbm = (getattr(result.records, c).tolist()[0]
+                                            for c in ("time_s", "airtime_s", "best_rssi_dbm"))
+        assert rows[1] == (f"{time_s!r},D1,868100000,7,{airtime_s!r},"
+                           f"gw000,{best_rssi_dbm!r},delivered")
 
     def test_reexport_of_loaded_export_is_byte_identical(self, tmp_path):
         result = simulate(single_device_net(), [(10.0, 0.0)], horizon_s=7200.0, seed=2)
