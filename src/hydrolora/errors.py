@@ -136,7 +136,7 @@ class PredicateError(HydroLoraError):
 
 
 class ConfigError(HydroLoraError):
-    """A scenario configuration is invalid."""
+    """A scenario configuration or option is invalid."""
 
 
 class ScenarioError(HydroLoraError):

@@ -12,6 +12,7 @@ is supplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DanglingEndpoint,
     DuplicateId,
     MalformedRow,
@@ -176,9 +178,12 @@ class WaterNetwork:
 
 def _float(section: str, row: InpRow, pos: int, what: str) -> float:
     try:
-        return float(row.tokens[pos])
+        value = float(row.tokens[pos])
     except ValueError:
         raise MalformedRow(section, row.line, f"{what} {row.tokens[pos]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise MalformedRow(section, row.line, f"{what} {row.tokens[pos]!r} is not finite")
+    return value
 
 
 def _need(section: str, row: InpRow, count: int) -> None:
@@ -191,8 +196,11 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
 
     Node and link order follows the file.  Rows in [DEMANDS] add to the
     junction's base demand (demand categories sum).  Self-loops are rejected;
-    every node must have a coordinate entry.
+    every node must have a coordinate entry.  Numbers must be finite, and so
+    must every coordinate after scaling.
     """
+    if not 0 < coordinate_scale < math.inf:
+        raise ConfigError(f"coordinate_scale must be finite and positive, got {coordinate_scale}")
     if not (doc.has("JUNCTIONS") or doc.has("RESERVOIRS")):
         raise MissingSection("need at least a [JUNCTIONS] or [RESERVOIRS] section")
     if not any(doc.has(s) for s in LINK_SECTIONS):
@@ -269,6 +277,9 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
             continue
         x = _float("COORDINATES", row, 1, "x") * coordinate_scale
         y = _float("COORDINATES", row, 2, "y") * coordinate_scale
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MalformedRow("COORDINATES", row.line,
+                               f"coordinates of {node_id!r} overflow when scaled by {coordinate_scale}")
         positions[node_id] = (x, y)
 
     if not nodes:

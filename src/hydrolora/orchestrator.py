@@ -75,6 +75,9 @@ class ScenarioConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0 <= self.horizon_s < math.inf:
             raise ConfigError(f"horizon_s must be finite and nonnegative, got {self.horizon_s}")
+        for name in ("coordinate_scale", "greedy_radius_m"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if (self.hydraulic_node_csv is None) != (self.hydraulic_link_csv is None):
             raise ConfigError("hydraulic CSVs must be given as a node/link pair")
 

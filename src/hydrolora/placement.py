@@ -9,6 +9,7 @@ max-coverage variant is available as an alternative.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,6 +182,44 @@ def degree_centrality_deploy(
                                   "objective": previous_objective})
 
 
+def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists (indptr, indices) of the nodes j with
+    ``((xy_i - xy_j) ** 2).sum() <= radius_m ** 2`` for each node i, itself
+    included, columns ascending.
+
+    Nodes are bucketed into square cells and candidates come from the 3x3
+    cells around each node.  The cell side exceeds the radius by a 2**-16
+    margin, which rounding in the cell arithmetic cannot eat, so two nodes
+    that pass the test never sit two cells apart; it is also at least the
+    span / 2**30, so cell keys stay far inside int64.
+    """
+    n = len(node_xy)
+    lo = node_xy.min(axis=0)
+    span = float((node_xy.max(axis=0) - lo).max())
+    if not math.isfinite(span):
+        raise ValueError("node coordinates and their extent must be finite")
+    side = max(radius_m * (1 + 2.0**-16), span / 2.0**30)
+    cell = np.floor((node_xy - lo) / side).astype(np.int64)
+    key = cell[:, 0] * 2**31 + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    x, y = node_xy[:, 0], node_xy[:, 1]
+    pair_keys = []
+    for offset in (dx * 2**31 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        start = np.searchsorted(sorted_key, key + offset, "left")
+        count = np.searchsorted(sorted_key, key + offset, "right") - start
+        i = np.repeat(np.arange(n), count)
+        j = order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        keep = dx * dx + dy * dy <= radius_m * radius_m
+        pair_keys.append(i[keep] * n + j[keep])
+    indices = np.concatenate(pair_keys)
+    indices.sort()
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+    indices %= n
+    return indptr, indices
+
+
 def greedy_coverage_deploy(
     k: int,
     node_xy: np.ndarray,
@@ -189,7 +228,21 @@ def greedy_coverage_deploy(
     seed: int = 0,
 ) -> GatewaySet:
     """Greedy weighted max-coverage: repeatedly take the node covering the
-    most uncovered weight within the radius.  Alternative to k-means."""
+    most uncovered weight within the radius.  Alternative to k-means.
+
+    A node covers every node j (itself included) with
+    ``((xy_i - xy_j) ** 2).sum() <= radius_m ** 2``.  Its gain is the exact
+    sum of the uncovered weights it covers, summed as integers so that no
+    rounding can break a tie, and each pick is the lowest node index among
+    the maximal gains.  Once every weight is covered all gains are 0, so the
+    remaining picks repeat node 0.
+
+    Gains are evaluated lazily (CELF: Minoux 1978; Leskovec et al. 2007).
+    Coverage is submodular, so a gain computed in an earlier round bounds the
+    current one from above, and only a candidate whose bound reaches the top
+    of the heap is recomputed.  The picks equal those of recomputing every
+    gain in every round.
+    """
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     n = len(node_xy)
@@ -197,18 +250,43 @@ def greedy_coverage_deploy(
         raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
     if k > n:
         raise KExceedsN(f"K={k} exceeds node count {n}")
+    if not 0 < radius_m < math.inf:
+        raise ValueError(f"radius_m must be finite and positive, got {radius_m!r}")
+    if not np.all((weights >= 0) & (weights < math.inf)):
+        raise ValueError("weights must be finite and nonnegative")
     if weights.sum() <= 0:
         raise AllZeroWeights("placement weights sum to zero")
 
-    sq_dist = ((node_xy[:, None, :] - node_xy[None, :, :]) ** 2).sum(axis=2)
-    within = sq_dist <= radius_m**2
-    uncovered = weights.copy()
+    indptr, indices = _radius_neighbours(node_xy, radius_m)
+    # Weights as exact integers: each is a multiple of 1 / unit, unit being
+    # the largest power-of-two denominator among them.
+    ratios = [w.as_integer_ratio() for w in weights.tolist()]
+    unit = max(den for _, den in ratios)
+    units = [num * (unit // den) for num, den in ratios]
+    # First bounds: the units cut to int64 by a right shift, rounded up per
+    # term, summed in numpy; up to n terms below 2**62 / n cannot overflow.
+    shift = max(0, max(units).bit_length() + n.bit_length() - 62)
+    coarse = np.array([u >> shift for u in units], dtype=np.int64)
+    bound = np.add.reduceat(coarse[indices], indptr[:-1]) + np.diff(indptr)
+    heap = [(-(b << shift), node) for node, b in enumerate(bound.tolist())]
+    heapq.heapify(heap)
+    starts = indptr.tolist()
+    uncovered = weights > 0
+
+    def gain(node: int) -> int:
+        near = indices[starts[node]:starts[node + 1]]
+        return sum(map(units.__getitem__, near[uncovered[near]].tolist()))
+
+    fresh_in = [0] * n  # round in which a node's heap entry was last recomputed
     chosen: list[int] = []
-    for _ in range(k):
-        gains = within @ uncovered
-        pick = int(gains.argmax())
+    for round_ in range(1, k + 1):
+        neg_gain, pick = heapq.heappop(heap)
+        while fresh_in[pick] != round_:
+            fresh_in[pick] = round_
+            neg_gain, pick = heapq.heappushpop(heap, (-gain(pick), pick))
         chosen.append(pick)
-        uncovered[within[pick]] = 0.0
+        uncovered[indices[starts[pick]:starts[pick + 1]]] = False
+        heapq.heappush(heap, (neg_gain, pick))  # saturated rounds pick it again
     positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
     return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
                       provenance={"seed": seed, "radius_m": radius_m})

@@ -6,7 +6,7 @@ import pytest
 
 from hydrolora import synthetic_wds
 from hydrolora.cli import build_parser, main
-from tests.conftest import CHAIN_INP
+from tests.conftest import CHAIN_INP, TWO_NODE_INP
 
 
 @pytest.fixture
@@ -49,6 +49,21 @@ class TestParse:
         bad.write_text("J1 100 5\n[JUNCTIONS]\n")
         assert main(["parse", str(bad)]) == 1
         assert "error: RowOutsideSection:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,scale,category", [
+        ("J2  100  0\n", "J2  nan  0\n", "1", "MalformedRow"),
+        ("J1  100  5", "J1  100  inf", "1", "MalformedRow"),
+        ("P1  J1  J2  100", "P1  J1  J2  Infinity", "1", "MalformedRow"),
+        ("J2  100  0\n", "J2  1e300  0\n", "1e10", "MalformedRow"),
+        ("", "", "nan", "ConfigError"),
+        ("", "", "-2", "ConfigError"),
+    ])
+    def test_non_finite_inp_or_bad_scale_is_domain_error(self, capsys, tmp_path, old, new, scale, category):
+        path = tmp_path / "bad.inp"
+        path.write_text(TWO_NODE_INP.replace(old, new))
+        assert main(["parse", str(path), "--scale", scale]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
 
 
 class TestGraph:
@@ -150,6 +165,17 @@ class TestSweepAndKpi:
         assert main(["sweep", "--config", str(config_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and "horizon_s" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("greedy_radius_m", "-1000"), ("greedy_radius_m", "NaN"), ("greedy_radius_m", "Infinity"),
+        ("coordinate_scale", "0"), ("coordinate_scale", "NaN"),
+    ])
+    def test_bad_radius_or_scale_is_config_error(self, capsys, config_file, field, value):
+        config_file.write_text(config_file.read_text().replace("{", f'{{"{field}": {value}, ', 1))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and field in err
         assert err.count("\n") == 1
 
     def test_kpi_satisfiable(self, capsys, config_file):

@@ -4,6 +4,7 @@ import pytest
 
 from hydrolora import build_network, read_inp, tokenize_inp
 from hydrolora.errors import (
+    ConfigError,
     DanglingEndpoint,
     DuplicateId,
     MalformedRow,
@@ -159,6 +160,31 @@ class TestBuildNetwork:
     def test_coordinate_scale(self):
         net = build_network(tokenize_inp(TWO_NODE_INP), coordinate_scale=10.0)
         assert net.bbox == (0.0, 0.0, 1000.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_coordinate_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="coordinate_scale"):
+            build_network(tokenize_inp(TWO_NODE_INP), coordinate_scale=scale)
+
+    @pytest.mark.parametrize("old,new,section", [
+        ("J1  100  5", "J1  nan  5", "JUNCTIONS"),
+        ("J1  100  5", "J1  100  inf", "JUNCTIONS"),
+        ("P1  J1  J2  100  0.3", "P1  J1  J2  NaN  0.3", "PIPES"),
+        ("P1  J1  J2  100  0.3", "P1  J1  J2  100  Infinity", "PIPES"),
+        ("J2  100  0\n", "J2  -inf  0\n", "COORDINATES"),
+    ])
+    def test_non_finite_number_rejected(self, old, new, section):
+        assert old in TWO_NODE_INP
+        with pytest.raises(MalformedRow, match="not finite") as exc:
+            build_network(tokenize_inp(TWO_NODE_INP.replace(old, new)))
+        assert exc.value.section == section
+
+    def test_coordinate_overflowing_after_scaling_rejected(self):
+        text = TWO_NODE_INP.replace("J2  100  0\n", "J2  1e300  0\n")
+        assert build_network(tokenize_inp(text)).bbox[2] == 1e300
+        with pytest.raises(MalformedRow, match="overflow") as exc:
+            build_network(tokenize_inp(text), coordinate_scale=1e10)
+        assert exc.value.section == "COORDINATES"
 
     def test_pumps_and_valves(self):
         text = (

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,12 @@ class TestScenarioConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(inp_path="x", strategies=("voronoi",))
+
+    @pytest.mark.parametrize("field", ["greedy_radius_m", "coordinate_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1000.0, math.nan, math.inf])
+    def test_radius_and_scale_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(inp_path="x", **{field: value})
 
     def test_hydraulic_pair_enforced(self):
         with pytest.raises(ConfigError):

@@ -162,6 +162,25 @@ class TestGreedyCoverage:
                            for p in gws.positions}
         assert picked_clusters == {0, 1, 2}
 
+    @pytest.mark.parametrize("radius", [0.0, -1000.0, float("nan"), float("inf")])
+    def test_bad_radius_rejected(self, radius):
+        xy, weights, _ = three_cluster_fixture()
+        with pytest.raises(ValueError, match="radius_m"):
+            greedy_coverage_deploy(3, xy, weights, radius_m=radius)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_weights_rejected(self, bad):
+        xy, weights, _ = three_cluster_fixture()
+        weights[4] = bad
+        with pytest.raises(ValueError, match="weights"):
+            greedy_coverage_deploy(3, xy, weights, radius_m=10.0)
+
+    def test_non_finite_coordinates_rejected(self):
+        xy, weights, _ = three_cluster_fixture()
+        xy[2, 1] = float("nan")
+        with pytest.raises(ValueError, match="coordinates"):
+            greedy_coverage_deploy(3, xy, weights, radius_m=10.0)
+
 
 class TestDispatchAndExport:
     def test_place_dispatch(self):

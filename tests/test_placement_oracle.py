@@ -1,0 +1,147 @@
+"""Differential tests: the lazy greedy placement against its oracles.
+
+``tests/reference_placement.py`` keeps the dense greedy that the lazy greedy
+over radius neighbour lists replaced.  Its gains are BLAS sums, so the two
+are compared on dyadic weights, whose sums are exact in any order: ties are
+then true ties and both must pick the lowest index among them.  On weights
+whose sums round, an exact rational oracle stands in for the dense code.
+"""
+
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hydrolora import (
+    build_adjacency,
+    build_network,
+    degree_centrality,
+    flow_proxy,
+    greedy_coverage_deploy,
+    placement_weights,
+    synthetic_wds,
+    tokenize_inp,
+)
+from hydrolora.errors import AllZeroWeights
+from hydrolora.placement import _radius_neighbours
+from tests import reference_placement
+from tests.test_acceptance import FIXTURE, SWEEP_KS
+
+DYADIC = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0)
+# sums that round, near ties (0.1 + 0.2 vs 0.3) and a 2**2000 range
+ROUNDING = (0.0, 0.1, 0.2, 0.3, 0.7, 5e-324, 1e-300, 1e300)
+
+
+def dense_within(xy, radius_m):
+    return ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2) <= radius_m**2
+
+
+@st.composite
+def cases(draw, weight_values=DYADIC):
+    n = draw(st.integers(1, 12))
+    point = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+    return dict(
+        coords=draw(st.lists(point, min_size=n, max_size=n)),
+        weights=draw(st.lists(st.sampled_from(weight_values), min_size=n, max_size=n)),
+        k=draw(st.integers(1, n)),
+        radius_m=draw(st.sampled_from([1.0, 5.0, 7.5, 100.0, 1e-9, 1e-300])),
+        unit_m=draw(st.sampled_from([1.0, 0.5, 1e6])),
+        offset_m=draw(st.sampled_from([0.0, 1e6, -1e6])),
+    )
+
+
+def xy_of(p):
+    return p["offset_m"] + p["unit_m"] * np.array(p["coords"], dtype=np.float64)
+
+
+def case(coords, weights, k, radius_m, unit_m=1.0, offset_m=0.0):
+    return dict(coords=coords, weights=weights, k=k, radius_m=radius_m, unit_m=unit_m, offset_m=offset_m)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cases())
+# pairs at exactly the radius (3-4-5 triangles), far from the origin
+@example(case([(0, 0), (3, 4), (6, 8), (3, -4), (0, 5), (0, 6)], [1.0, 0.25, 3.0, 2.0, 0.5, 1.0], 3,
+              5.0, offset_m=1e6))
+@example(case([(0, 0), (3, 4), (6, 8), (-3, 4)], [0.5, 0.25, 1.0, 1.0], 2, 5.0, offset_m=-1e6))
+# a pair at exactly the radius on both sides of a cell boundary
+@example(case([(0, 0), (1 - 1.5 * 2**-16, 0), (2 - 1.5 * 2**-16, 0)], [1.0, 0.25, 0.5], 2, 1.0))
+# coincident nodes
+@example(case([(2, 2), (2, 2), (2, 2), (9, 9), (9, 9), (-4, 0)], [0.25, 0.25, 0.5, 1.0, 0.0, 0.5], 4, 1.0))
+# saturation: after two picks every weight is covered, the rest land on node 0
+@example(case([(5, 5), (6, 5), (-8, -8), (-8, -7), (0, 12)], [1.0, 2.0, 0.5, 0.0, 0.0], 5, 2.0))
+# K = N
+@example(case([(i, (3 * i) % 7) for i in range(12)], list(DYADIC) * 2, 12, 1.0))
+# a radius wider than the bounding box
+@example(case([(-12, -12), (12, 12), (0, 3), (7, -2)], [0.25, 1.0, 2.0, 0.5], 3, 100.0))
+# radii of 1e-9 and 1e-300 against a 1e7 span: the cell key must not
+# overflow int64 (an out-of-range float-to-int cast warns, raised below)
+@example(case([(0, 0), (10, 0), (0, 10), (0, 0), (10, 10)], [1.0, 2.0, 0.5, 1.0, 0.25], 4, 1e-9,
+              unit_m=1e6))
+@example(case([(0, 0), (10, 0), (0, 10), (0, 0), (10, 10)], [1.0, 2.0, 0.5, 1.0, 0.25], 4, 1e-300,
+              unit_m=1e6))
+def test_lazy_greedy_matches_dense_greedy(p):
+    xy = xy_of(p)
+    weights = np.array(p["weights"])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        indptr, indices = _radius_neighbours(xy, p["radius_m"])
+    within = dense_within(xy, p["radius_m"])
+    assert np.array_equal(np.diff(indptr), within.sum(axis=1))
+    for i, row in enumerate(within):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == np.flatnonzero(row).tolist()
+
+    args = (p["k"], xy, weights, p["radius_m"], 3)
+    if weights.sum() == 0:
+        for deploy in (greedy_coverage_deploy, reference_placement.greedy_coverage_deploy):
+            with pytest.raises(AllZeroWeights):
+                deploy(*args)
+        return
+    got = greedy_coverage_deploy(*args)
+    want = reference_placement.greedy_coverage_deploy(*args)
+    assert got.positions == want.positions
+    assert got.provenance == want.provenance and got.k == want.k
+
+
+def exact_greedy(k, xy, weights, radius_m):
+    """Greedy with exact rational gains: lowest index among the maximal ones."""
+    exact = [Fraction(float(w)) for w in weights]
+    scale = max(w.denominator for w in exact)
+    uncovered = [int(w * scale) for w in exact]  # integers: every sum is exact
+    neighbours = [np.flatnonzero(row).tolist() for row in dense_within(xy, radius_m)]
+    chosen = []
+    for _ in range(k):
+        gains = [sum(uncovered[j] for j in near) for near in neighbours]
+        pick = gains.index(max(gains))
+        chosen.append(pick)
+        for j in neighbours[pick]:
+            uncovered[j] = 0
+    return chosen
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cases(ROUNDING))
+def test_lazy_greedy_matches_exact_oracle(p):
+    xy, weights = xy_of(p), np.array(p["weights"])
+    if weights.sum() > 0:
+        want = [tuple(xy[i].tolist()) for i in exact_greedy(p["k"], xy, weights, p["radius_m"])]
+        assert greedy_coverage_deploy(p["k"], xy, weights, p["radius_m"]).positions == want
+
+
+@pytest.mark.parametrize("radius_m", [500.0, 1000.0, 2000.0])
+def test_acceptance_fixture_centrality_weights_match_exact_oracle(radius_m):
+    # alpha = 1.0 weighs by degree centrality alone, so many gains tie
+    # exactly, and some differ by less than their rounding (at 500 m, in
+    # the 15th pick, two exact sums round to the same double); a BLAS sum
+    # breaks such ties by rounding error, a correctly rounded one by index.
+    net = build_network(tokenize_inp(synthetic_wds(**FIXTURE)))
+    adj = build_adjacency(net)
+    weights = placement_weights(degree_centrality(adj), flow_proxy(net, adj).values, alpha=1.0).weight
+    xy = net.coordinates()
+    k = max(SWEEP_KS)
+    want = [tuple(xy[i].tolist()) for i in exact_greedy(k, xy, weights, radius_m)]
+    assert greedy_coverage_deploy(k, xy, weights, radius_m=radius_m).positions == want
