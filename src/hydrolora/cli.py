@@ -8,7 +8,6 @@ plotting is left to external tools.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -98,16 +97,6 @@ def _weights_pipeline(args):
     return net, cv, flows, fw
 
 
-@contextlib.contextmanager
-def _output(path):
-    """Yield stdout when ``path`` is None, else the file at ``path``, closed on exit."""
-    if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        yield handle
-
-
 def cmd_parse(args) -> int:
     net = read_inp(args.inp, coordinate_scale=args.scale)
     print(json.dumps(net.summary(), indent=2, sort_keys=True))
@@ -121,15 +110,13 @@ def cmd_graph(args) -> int:
         print(json.dumps(graph_stats(adj).as_dict(), indent=2, sort_keys=True))
         return 0
     cv = degree_centrality(adj)
-    with _output(None if args.csv == "-" else args.csv) as stream:
-        centrality_csv(cv, stream)
+    centrality_csv(cv, None if args.csv == "-" else args.csv)
     return 0
 
 
 def cmd_weights(args) -> int:
     _, cv, flows, fw = _weights_pipeline(args)
-    with _output(args.out) as stream:
-        weights_csv(cv, flows, fw, stream)
+    weights_csv(cv, flows, fw, args.out)
     return 0
 
 
@@ -141,8 +128,7 @@ def cmd_place(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         snap_to_nodes=args.snap,
     )
-    with _output(args.out) as stream:
-        export_gateways_csv(gateways, stream)
+    export_gateways_csv(gateways, args.out)
     return 0
 
 

@@ -1,0 +1,53 @@
+"""The one CSV format of every dataset this package writes.
+
+A header line, then one line per row; ``\\n`` line ends; UTF-8.  Numbers are
+written as ``repr`` of the Python int or float; text fields are quoted exactly
+as ``csv.writer`` quotes them.
+
+A file is built column by column.  Each column is a pair (table, index): row r
+holds ``table[index[r]]``, a ready field.  A column whose table is None holds
+numbers, written as ``repr``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+
+_ROWS_PER_WRITE = 1 << 16  # rows formatted at a time, which bounds the memory of the strings
+
+
+def text(values, index=None):
+    """A column of ``values`` as ``csv.writer`` writes them; row r holds
+    ``values[index[r]]``, by default ``values[r]``."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
+    table = np.array([writer.writerow([value, ""])[:-2] for value in values], dtype=object)
+    return table, np.arange(len(table)) if index is None else index
+
+
+def floats(values):
+    """A column of numbers written as ``repr(float(value))``."""
+    return None, np.asarray(values, dtype=np.float64)
+
+
+def distinct(values):
+    """A column of numbers that formats each distinct value once, as ``repr``."""
+    table, index = np.unique(values, return_inverse=True)
+    return np.array(list(map(repr, table.tolist())), dtype=object), index
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and then the rows of ``columns`` to ``path``, or to
+    stdout when ``path`` is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as handle:
+        handle.write(header + "\n")
+        for lo in range(0, len(columns[0][1]), _ROWS_PER_WRITE):
+            part = slice(lo, lo + _ROWS_PER_WRITE)
+            fields = [list(map(repr, index[part].tolist())) if table is None else table[index[part]].tolist()
+                      for table, index in columns]
+            handle.writelines(",".join(row) + "\n" for row in zip(*fields))

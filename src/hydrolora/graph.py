@@ -9,13 +9,12 @@ nodes this is meant for.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import floats, text, write_csv
 from .errors import TooFewNodes
 from .inp import WaterNetwork
 
@@ -44,21 +43,12 @@ class Adjacency:
 
 @dataclass
 class CentralityVector:
-    """Per-node degree, degree centrality, and placement weight.
-
-    Centrality is degree divided by N-1, the maximum possible degree.  The
-    weight starts as a copy of the centrality and is overwritten once flow
-    information is blended in.
-    """
+    """Per-node degree and degree centrality: degree divided by N-1, the
+    maximum possible degree."""
 
     node_ids: list[str]
     degree: np.ndarray
     centrality: np.ndarray
-    weight: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.weight is None:
-            self.weight = self.centrality.copy()
 
 
 def build_adjacency(net: WaterNetwork) -> Adjacency:
@@ -141,17 +131,7 @@ def graph_stats(adj: Adjacency) -> GraphStats:
     )
 
 
-def centrality_csv(cv: CentralityVector, out=None) -> str | None:
-    """Write per-node centrality as CSV (header ``node_id,degree,centrality``).
-
-    With ``out`` None the CSV text is returned; otherwise rows go to the
-    given writable text stream.
-    """
-    buffer = out if out is not None else io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["node_id", "degree", "centrality"])
-    for node_id, degree, centrality in zip(cv.node_ids, cv.degree, cv.centrality):
-        writer.writerow([node_id, int(degree), repr(float(centrality))])
-    if out is None:
-        return buffer.getvalue()
-    return None
+def centrality_csv(cv: CentralityVector, path=None) -> None:
+    """Write ``node_id,degree,centrality`` rows to ``path``, or to stdout when None."""
+    write_csv(path, "node_id,degree,centrality",
+              [text(cv.node_ids), (None, np.asarray(cv.degree, dtype=np.int64)), floats(cv.centrality)])

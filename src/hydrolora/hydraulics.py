@@ -8,7 +8,8 @@ flow is then blended with degree centrality into a placement weight.
 CSV schemas (header row required, UTF-8, '.' decimal separator):
   node file:  time_s,node_id,pressure,demand
   link file:  time_s,link_id,flow
-Both files must share one strictly increasing timestamp grid.
+Both files must share one strictly increasing timestamp grid; every value
+must be a finite number.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import floats, text, write_csv
 from .errors import NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
 from .graph import Adjacency, CentralityVector
 from .inp import WaterNetwork
@@ -57,10 +59,12 @@ class FlowWeight:
     weight: np.ndarray
 
 
-def _read_long_csv(path, required: list[str]) -> tuple[list[str], dict[str, list[list[float]]]]:
-    """Read a long-format CSV into per-id value columns, preserving id order.
+def _read_long_csv(path, required: list[str]) -> dict[str, np.ndarray]:
+    """Read a long-format CSV into one array per id, ids in first-seen order.
 
-    Returns (ids in first-seen order, id -> list of [time, value, ...] rows).
+    Each array row holds the numeric columns of ``required`` in order, then
+    its line number.  A short row or a field that is not a finite number
+    raises SchemaMismatch naming the file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -71,26 +75,38 @@ def _read_long_csv(path, required: list[str]) -> tuple[list[str], dict[str, list
         missing = [col for col in required if col not in header]
         if missing:
             raise SchemaMismatch(f"{path}: missing required column(s) {missing}")
-        pos = {col: header.index(col) for col in required}
-        ids: list[str] = []
+        id_pos = header.index(required[1])
+        value_pos = [header.index(col) for col in required if col != required[1]]
         rows: dict[str, list[list[float]]] = {}
-        id_col = required[1]
-        for row in reader:
-            if not row:
-                continue
-            entity = row[pos[id_col]]
-            if entity not in rows:
-                ids.append(entity)
-                rows[entity] = []
-            rows[entity].append([float(row[pos[c]]) for c in required if c != id_col])
-    return ids, rows
+        try:
+            for row in reader:
+                if row:
+                    entity = row[id_pos]
+                    values = [float(row[p]) for p in value_pos]
+                    values.append(reader.line_num)
+                    if entity in rows:
+                        rows[entity].append(values)
+                    else:
+                        rows[entity] = [values]
+        except IndexError:
+            raise SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), "
+                                 f"header has {len(header)}") from None
+        except (ValueError, csv.Error) as exc:
+            raise SchemaMismatch(f"{path}, line {reader.line_num}: {exc}") from None
+    tables = {}
+    for entity, values in rows.items():
+        table = tables[entity] = np.array(values)
+        if not np.isfinite(table).all():
+            line = int(table[~np.isfinite(table).all(axis=1), -1][0])
+            raise SchemaMismatch(f"{path}, line {line}: non-finite value for {entity!r}")
+    return tables
 
 
-def _series_grid(path, ids, rows) -> np.ndarray:
+def _series_grid(path, tables) -> np.ndarray:
     """Validate a shared strictly-increasing time grid across all series."""
     grid = None
-    for entity in ids:
-        times = np.array([r[0] for r in rows[entity]], dtype=np.float64)
+    for entity, table in tables.items():
+        times = table[:, 0]
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise NonMonotoneTimestamps(f"{path}: timestamps for {entity!r} are not strictly increasing")
         if grid is None:
@@ -106,29 +122,29 @@ def ingest_hydraulic_csv(node_csv, link_csv, net: WaterNetwork) -> HydraulicSeri
     Every id must resolve against the network.  Links absent from the flow
     file contribute zero flow to their endpoints.
     """
-    node_ids, node_rows = _read_long_csv(node_csv, ["time_s", "node_id", "pressure", "demand"])
-    link_ids, link_rows = _read_long_csv(link_csv, ["time_s", "link_id", "flow"])
+    node_rows = _read_long_csv(node_csv, ["time_s", "node_id", "pressure", "demand"])
+    link_rows = _read_long_csv(link_csv, ["time_s", "link_id", "flow"])
 
     index = net.node_index
-    for entity in node_ids:
+    for entity in node_rows:
         if entity not in index:
             raise UnknownId(f"node {entity!r} not in network")
     link_index = {link.id: link for link in net.links}
-    for entity in link_ids:
+    for entity in link_rows:
         if entity not in link_index:
             raise UnknownId(f"link {entity!r} not in network")
 
-    node_grid = _series_grid(node_csv, node_ids, node_rows)
-    link_grid = _series_grid(link_csv, link_ids, link_rows)
+    node_grid = _series_grid(node_csv, node_rows)
+    link_grid = _series_grid(link_csv, link_rows)
     if len(node_grid) and len(link_grid) and not (
         len(node_grid) == len(link_grid) and np.array_equal(node_grid, link_grid)
     ):
         raise SchemaMismatch("node and link files do not share one timestamp grid")
     grid = node_grid if len(node_grid) else link_grid
 
-    pressure = {e: np.array([r[1] for r in node_rows[e]]) for e in node_ids}
-    demand = {e: np.array([r[2] for r in node_rows[e]]) for e in node_ids}
-    flow = {e: np.array([r[1] for r in link_rows[e]]) for e in link_ids}
+    pressure = {e: table[:, 1] for e, table in node_rows.items()}
+    demand = {e: table[:, 2] for e, table in node_rows.items()}
+    flow = {e: table[:, 1] for e, table in link_rows.items()}
 
     node_flow = np.zeros(net.node_count, dtype=np.float64)
     for link_id, series in flow.items():
@@ -147,22 +163,13 @@ def export_hydraulic_csv(series: HydraulicSeries, node_csv, link_csv) -> None:
     Rows are time-major with ids in series order, which round-trips files
     produced by this writer byte-identically.
     """
-    def fmt(value: float) -> str:
-        return repr(float(value))
-
-    with open(node_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time_s", "node_id", "pressure", "demand"])
-        for t_idx, t in enumerate(series.timestamps):
-            for entity in series.pressure:
-                writer.writerow([fmt(t), entity, fmt(series.pressure[entity][t_idx]),
-                                 fmt(series.demand[entity][t_idx])])
-    with open(link_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time_s", "link_id", "flow"])
-        for t_idx, t in enumerate(series.timestamps):
-            for entity in series.flow:
-                writer.writerow([fmt(t), entity, fmt(series.flow[entity][t_idx])])
+    times = np.asarray(series.timestamps, dtype=np.float64)
+    for path, header, columns in ((node_csv, "time_s,node_id,pressure,demand", (series.pressure, series.demand)),
+                                  (link_csv, "time_s,link_id,flow", (series.flow,))):
+        ids = list(columns[0])
+        id_fields, every_id = text(ids)
+        write_csv(path, header, [floats(np.repeat(times, len(ids))), (id_fields, np.tile(every_id, len(times)))] + [
+            floats(np.reshape([column[e] for e in ids], (len(ids), len(times))).T.ravel()) for column in columns])
 
 
 def flow_proxy(net: WaterNetwork, adj: Adjacency, weight_by_length: bool = False) -> ProxyFlow:
@@ -250,8 +257,7 @@ def placement_weights(cv: CentralityVector, flows: np.ndarray, alpha: float = 0.
     """Blend centrality and flow into per-node placement weights.
 
     Both terms are max-normalized to [0, 1] and combined convexly:
-    weight = alpha * centrality_norm + (1 - alpha) * flow_norm.  The result
-    is also written into ``cv.weight``.
+    weight = alpha * centrality_norm + (1 - alpha) * flow_norm.
     """
     flows = np.asarray(flows, dtype=np.float64)
     if len(flows) != len(cv.centrality):
@@ -263,14 +269,10 @@ def placement_weights(cv: CentralityVector, flows: np.ndarray, alpha: float = 0.
     c_norm = cv.centrality / c_max if c_max > 0 else np.zeros_like(cv.centrality)
     f_max = float(flows.max())
     f_norm = flows / f_max if f_max > 0 else np.zeros_like(flows)
-    weight = alpha * c_norm + (1.0 - alpha) * f_norm
-    cv.weight = weight.copy()
-    return FlowWeight(flow_norm=f_norm, weight=weight)
+    return FlowWeight(flow_norm=f_norm, weight=alpha * c_norm + (1.0 - alpha) * f_norm)
 
 
-def weights_csv(cv: CentralityVector, flows, fw: FlowWeight, out) -> None:
-    """Write ``node_id,centrality,flow,weight`` rows to a writable text stream."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["node_id", "centrality", "flow", "weight"])
-    writer.writerows([node_id, repr(float(c)), repr(float(f)), repr(float(w))]
-                     for node_id, c, f, w in zip(cv.node_ids, cv.centrality, flows, fw.weight))
+def weights_csv(cv: CentralityVector, flows, fw: FlowWeight, path=None) -> None:
+    """Write ``node_id,centrality,flow,weight`` rows to ``path``, or to stdout when None."""
+    write_csv(path, "node_id,centrality,flow,weight",
+              [text(cv.node_ids), floats(cv.centrality), floats(flows), floats(fw.weight)])

@@ -16,9 +16,8 @@ from .errors import InvalidSf, NoGateways
 
 SF_RANGE = (7, 8, 9, 10, 11, 12)
 
-# Typical 125 kHz sensitivities and demodulation SNR floors per SF.
+# Typical 125 kHz sensitivities per SF.
 DEFAULT_SENSITIVITY_DBM = {7: -123.0, 8: -126.0, 9: -129.0, 10: -132.0, 11: -134.5, 12: -137.0}
-DEFAULT_REQUIRED_SNR_DB = {7: -7.5, 8: -10.0, 9: -12.5, 10: -15.0, 11: -17.5, 12: -20.0}
 
 # EU868 default uplink channels.
 DEFAULT_CHANNELS_HZ = (868_100_000, 868_300_000, 868_500_000)
@@ -39,7 +38,6 @@ class RadioConfig:
     channels_hz: tuple[int, ...] = DEFAULT_CHANNELS_HZ
     duty_cycle_limit: float = 0.01
     sensitivity_dbm: dict[int, float] = field(default_factory=lambda: dict(DEFAULT_SENSITIVITY_DBM))
-    required_snr_db: dict[int, float] = field(default_factory=lambda: dict(DEFAULT_REQUIRED_SNR_DB))
     adr_margin_db: float = 10.0
     capture_threshold_db: float = 6.0
 
@@ -54,10 +52,12 @@ class RadioConfig:
             raise ValueError("duty_cycle_limit must be in (0, 1]")
         if not self.channels_hz:
             raise ValueError("at least one channel required")
-        for table, name in ((self.sensitivity_dbm, "sensitivity_dbm"), (self.required_snr_db, "required_snr_db")):
-            values = [table[sf] for sf in self.sfs()]
-            if any(b >= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} must strictly decrease with SF")
+        for sf in self.sfs():
+            if not math.isfinite(self.sensitivity_dbm.get(sf, math.nan)):
+                raise ValueError(f"sensitivity_dbm needs a finite entry for SF{sf}")
+        values = [self.sensitivity_dbm[sf] for sf in self.sfs()]
+        if any(b >= a for a, b in zip(values, values[1:])):
+            raise ValueError("sensitivity_dbm must strictly decrease with SF")
 
     def sfs(self) -> range:
         return range(self.sf_min, self.sf_max + 1)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import floats, text, write_csv
 from .errors import ConfigError, EmptySweep, HydroLoraError, PredicateError, ScenarioError
 from .graph import build_adjacency, centrality_csv, degree_centrality, graph_stats
 from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights, weights_csv
@@ -113,9 +114,8 @@ def _coerce_radio(overrides: dict) -> dict:
     overrides = dict(overrides)
     if "channels_hz" in overrides:
         overrides["channels_hz"] = tuple(int(c) for c in overrides["channels_hz"])
-    for table in ("sensitivity_dbm", "required_snr_db"):
-        if table in overrides:
-            overrides[table] = {int(k): float(v) for k, v in overrides[table].items()}
+    if "sensitivity_dbm" in overrides:
+        overrides["sensitivity_dbm"] = {int(k): float(v) for k, v in overrides["sensitivity_dbm"].items()}
     return overrides
 
 
@@ -285,10 +285,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         summary["flow_warnings"] = prepared.flow_warnings
         (outdir / "network_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        with open(outdir / "centrality.csv", "w", encoding="utf-8", newline="") as handle:
-            centrality_csv(prepared.cv, handle)
-        with open(outdir / "weights.csv", "w", encoding="utf-8", newline="") as handle:
-            weights_csv(prepared.cv, prepared.flows, prepared.fw, handle)
+        centrality_csv(prepared.cv, outdir / "centrality.csv")
+        weights_csv(prepared.cv, prepared.flows, prepared.fw, outdir / "weights.csv")
 
     rows: list[ComparisonRow] = []
     runs: list[RunSummary] = []
@@ -307,18 +305,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def export_comparison(table: ComparisonTable, outdir) -> dict[str, Path]:
     """Write comparison.csv (schema ``k,strategy,energy_j_mean,energy_j_std,
     pdr,mean_sf``, rows K ascending then strategy) and comparison.txt."""
-    import csv
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "comparison.csv"
     txt_path = outdir / "comparison.txt"
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["k", "strategy", "energy_j_mean", "energy_j_std", "pdr", "mean_sf"])
-        for row in table.sorted_rows():
-            writer.writerow([row.k, row.strategy, repr(row.energy_j_mean), repr(row.energy_j_std),
-                             repr(row.pdr), repr(row.mean_sf)])
+    rows = table.sorted_rows()
+    write_csv(csv_path, "k,strategy,energy_j_mean,energy_j_std,pdr,mean_sf",
+              [text([row.k for row in rows]), text([row.strategy for row in rows])]
+              + [floats([getattr(row, name) for row in rows])
+                 for name in ("energy_j_mean", "energy_j_std", "pdr", "mean_sf")])
     txt_path.write_text(table.pivot_text(), encoding="utf-8")
     return {"csv": csv_path, "txt": txt_path}
 

@@ -8,14 +8,13 @@ max-coverage variant is available as an alternative.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .csvio import floats, text, write_csv
 from .errors import AllZeroWeights, DegenerateBBox, InvalidK, KExceedsN
 
 REGULAR_GRID = "regular_grid"
@@ -304,19 +303,10 @@ def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def export_gateways_csv(gateways: GatewaySet, out) -> Path | None:
-    """Write ``gw_id,x,y,strategy,k,seed`` rows for a gateway set."""
-    def rows(writer):
-        writer.writerow(["gw_id", "x", "y", "strategy", "k", "seed"])
-        seed = gateways.provenance.get("seed", 0)
-        for idx, (x, y) in enumerate(gateways.positions):
-            writer.writerow([f"gw{idx:03d}", repr(float(x)), repr(float(y)),
-                             gateways.strategy, gateways.k, seed])
-
-    if hasattr(out, "write"):
-        rows(csv.writer(out, lineterminator="\n"))
-        return None
-    path = Path(out)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        rows(csv.writer(handle, lineterminator="\n"))
-    return path
+def export_gateways_csv(gateways: GatewaySet, path=None) -> None:
+    """Write ``gw_id,x,y,strategy,k,seed`` rows to ``path``, or to stdout when None."""
+    n = len(gateways.positions)
+    xy = np.asarray(gateways.positions, dtype=np.float64).reshape(n, 2)
+    write_csv(path, "gw_id,x,y,strategy,k,seed", [
+        text([f"gw{idx:03d}" for idx in range(n)]), floats(xy[:, 0]), floats(xy[:, 1]),
+        *(text([value] * n) for value in (gateways.strategy, gateways.k, gateways.provenance.get("seed", 0)))])

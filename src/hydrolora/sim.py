@@ -35,21 +35,19 @@ inputs and independent of gateway layout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
+from .csvio import distinct, floats, text, write_csv
 from .errors import InvalidSf, NoDevices, NoGateways
 from .inp import WaterNetwork
 from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
 from .rng import substream
 
 ROUND = 256  # draws per block: the unit in which a device consumes its substream
-_ROWS_PER_WRITE = 1 << 16  # CSV rows formatted at a time, which bounds the memory of the strings
 OUTCOMES = ("delivered", "no_coverage", "collided")
 
 
@@ -377,34 +375,6 @@ def simulate(
     )
 
 
-def _csv_fields(values) -> np.ndarray:
-    """Each value as one CSV field, quoted exactly as ``csv.writer`` quotes it."""
-    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
-    return np.array([writer.writerow([value, ""])[:-2] for value in values], dtype=object)
-
-
-def _distinct(values: np.ndarray):
-    """A (table, index) column that formats each distinct value once, as ``repr``."""
-    table, index = np.unique(values, return_inverse=True)
-    return np.array(list(map(repr, table.tolist())), dtype=object), index
-
-
-def _write_csv(path: Path, header: str, columns) -> None:
-    """Write ``header`` and then the rows, built column by column.
-
-    Each column is a pair (table, index): row r holds ``table[index[r]]``, a
-    ready field.  A column whose table is None holds numbers, written as
-    ``repr``.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        for lo in range(0, len(columns[0][1]), _ROWS_PER_WRITE):
-            part = slice(lo, lo + _ROWS_PER_WRITE)
-            fields = [list(map(repr, index[part].tolist())) if table is None else table[index[part]].tolist()
-                      for table, index in columns]
-            handle.writelines(",".join(row) + "\n" for row in zip(*fields))
-
-
 def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     """Write the wireless result CSVs under ``outdir``.
 
@@ -420,23 +390,23 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     paths = {name: outdir / f"{name}.csv" for name in ("transmissions", "energy", "battery")}
     devices, recs = result.devices, result.records
     ids = [dev.id for dev in devices]
-    id_fields, every_device = _csv_fields(ids), np.arange(len(ids))
+    id_fields, every_device = text(ids)
 
     id_rank = np.empty(len(ids), dtype=np.int64)
     id_rank[sorted(every_device.tolist(), key=ids.__getitem__)] = every_device
     order = np.lexsort((id_rank[recs.device_index], recs.time_s))
-    _write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
-        (None, recs.time_s[order]), (id_fields, recs.device_index[order]),
-        _distinct(recs.channel_hz[order]), _distinct(recs.sf[order]), _distinct(recs.airtime_s[order]),
-        (np.array([*result.gateway_ids, ""], dtype=object), recs.best_gw_index[order]),
-        _distinct(recs.best_rssi_dbm[order]), (np.array(OUTCOMES, dtype=object), recs.outcome_code[order]),
+    write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
+        floats(recs.time_s[order]), (id_fields, recs.device_index[order]),
+        distinct(recs.channel_hz[order]), distinct(recs.sf[order]), distinct(recs.airtime_s[order]),
+        text([*result.gateway_ids, ""], recs.best_gw_index[order]),
+        distinct(recs.best_rssi_dbm[order]), text(OUTCOMES, recs.outcome_code[order]),
     ])
     fields = ("sent", "delivered", "lost_no_coverage", "lost_collision", "energy_j", "battery_j")
-    _write_csv(paths["energy"], "device_id,sent,delivered,lost_no_coverage,lost_collision,energy_j,battery_end_j",
-               [(id_fields, every_device)] + [(None, np.array([getattr(d, f) for d in devices])) for f in fields])
+    write_csv(paths["energy"], "device_id,sent,delivered,lost_no_coverage,lost_collision,energy_j,battery_end_j",
+              [(id_fields, every_device)] + [(None, np.array([getattr(d, f) for d in devices])) for f in fields])
     samples = len(result.energy.sample_times_s)
-    _write_csv(paths["battery"], "time_s,device_id,battery_j", [
-        _distinct(np.repeat(result.energy.sample_times_s, len(ids))),
-        (id_fields, np.tile(every_device, samples)), (None, result.energy.battery_j.T.ravel()),
+    write_csv(paths["battery"], "time_s,device_id,battery_j", [
+        distinct(np.repeat(result.energy.sample_times_s, len(ids))),
+        (id_fields, np.tile(every_device, samples)), floats(result.energy.battery_j.T.ravel()),
     ])
     return paths

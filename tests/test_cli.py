@@ -103,6 +103,21 @@ class TestWeights:
         assert "J1" in out and "R1" in out
 
 
+    @pytest.mark.parametrize("row", ["0,J1,abc,1", "0,J1", "0,J1,nan,1", "0,J1,50,inf"])
+    def test_malformed_hydraulic_row_is_schema_mismatch(self, capsys, tmp_path, row):
+        inp = tmp_path / "chain.inp"
+        inp.write_text(CHAIN_INP)
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(f"time_s,node_id,pressure,demand\n{row}\n")
+        links = tmp_path / "links.csv"
+        links.write_text("time_s,link_id,flow\n0,P1,10\n0,P2,4\n")
+        assert main(["weights", str(inp), "--hydraulic", str(nodes), str(links)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: SchemaMismatch: {nodes}, line 2: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestPlace:
     def test_grid_to_stdout(self, capsys, inp_file):
         assert main(["place", str(inp_file), "--k", "3", "--strategy", "grid"]) == 0
@@ -177,6 +192,18 @@ class TestSweepAndKpi:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and field in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("radio", [
+        {"sensitivity_dbm": {"7": -120}},
+        {"sensitivity_dbm": {"7": -123, "8": "NaN", "9": -129, "10": -132, "11": -134.5, "12": -137}},
+        {"required_snr_db": {"7": -7.5}},
+    ])
+    def test_bad_radio_table_is_config_error(self, capsys, config_file, radio):
+        config = json.loads(config_file.read_text())
+        config_file.write_text(json.dumps({**config, "radio": radio}))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
 
     def test_kpi_satisfiable(self, capsys, config_file):
         assert main(["kpi", "--config", str(config_file), "--predicate", "pdr>=0"]) == 0

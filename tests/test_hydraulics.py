@@ -59,6 +59,26 @@ class TestIngest:
         with pytest.raises(SchemaMismatch):
             ingest_hydraulic_csv(node_csv, link_csv, two_node_net)
 
+    @pytest.mark.parametrize("bad_row,detail", [
+        ("3600,J1,abc,5", "could not convert"),
+        ("3600,J1", "2 field(s), header has 4"),
+        ("3600,J1,nan,5", "non-finite value for 'J1'"),
+        ("3600,J1,50,inf", "non-finite value for 'J1'"),
+        ("nan,J1,50,5", "non-finite value for 'J1'"),
+    ])
+    def test_malformed_node_row_names_file_and_line(self, tmp_path, two_node_net, bad_row, detail):
+        node_csv, link_csv = write_csvs(
+            tmp_path, ["0,J1,50,5", "0,J2,48,2", bad_row, "3600,J2,47,2"], ["0,P1,10", "3600,P1,10"])
+        with pytest.raises(SchemaMismatch) as exc:
+            ingest_hydraulic_csv(node_csv, link_csv, two_node_net)
+        assert str(exc.value).startswith(f"{node_csv}, line 4: ") and detail in str(exc.value)
+
+    @pytest.mark.parametrize("bad_row", ["3600,P1,-inf", "3600,P1,x", "3600"])
+    def test_malformed_link_row_names_file_and_line(self, tmp_path, two_node_net, bad_row):
+        node_csv, link_csv = write_csvs(tmp_path, ["0,J1,50,5", "3600,J1,49,5"], ["0,P1,10", bad_row])
+        with pytest.raises(SchemaMismatch, match=f"^{link_csv}, line 3: "):
+            ingest_hydraulic_csv(node_csv, link_csv, two_node_net)
+
     def test_inconsistent_grid_rejected(self, tmp_path, two_node_net):
         node_csv, link_csv = write_csvs(
             tmp_path, ["0,J1,50,5", "3600,J1,49,5", "0,J2,48,2", "7200,J2,47,2"], ["0,P1,10"])
@@ -204,10 +224,12 @@ class TestPlacementWeights:
 
     def test_half_blend_matches_hand_computation(self):
         cv, flows = self.fixture_cv_flows()
+        before = {name: np.copy(value) for name, value in vars(cv).items()}
         fw = placement_weights(cv, flows, alpha=0.5)
         expected = 0.5 * cv.centrality / cv.centrality.max() + 0.5 * flows / flows.max()
         assert np.allclose(fw.weight, expected)
-        assert np.array_equal(cv.weight, fw.weight)  # written back
+        assert vars(cv).keys() == before.keys()  # cv is left unchanged
+        assert all(np.array_equal(vars(cv)[name], value) for name, value in before.items())
 
     def test_scale_invariance(self):
         cv, flows = self.fixture_cv_flows()

@@ -77,6 +77,24 @@ class TestRadioConfigValidation:
         with pytest.raises(ValueError):
             RadioConfig(sensitivity_dbm=table)
 
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    def test_sensitivity_entry_required_for_every_sf(self, sf):
+        table = dict(RadioConfig().sensitivity_dbm)
+        del table[sf]
+        with pytest.raises(ValueError, match=f"SF{sf}"):
+            RadioConfig(sensitivity_dbm=table)
+
+    def test_entries_outside_sf_range_not_required(self):
+        cfg = RadioConfig(sf_min=8, sf_max=9, sensitivity_dbm={8: -126.0, 9: -129.0})
+        assert list(cfg.sfs()) == [8, 9]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_sensitivity_entry_must_be_finite(self, value):
+        table = dict(RadioConfig().sensitivity_dbm)
+        table[10] = value
+        with pytest.raises(ValueError, match="SF10"):
+            RadioConfig(sensitivity_dbm=table)
+
     def test_duty_cycle_bounds(self):
         with pytest.raises(ValueError):
             RadioConfig(duty_cycle_limit=0.0)

@@ -193,8 +193,8 @@ class TestDispatchAndExport:
 
     def test_export_csv(self, tmp_path):
         gws = regular_grid_deploy(2, UNIT)
-        path = export_gateways_csv(gws, tmp_path / "gws.csv")
-        lines = path.read_text().splitlines()
+        export_gateways_csv(gws, tmp_path / "gws.csv")
+        lines = (tmp_path / "gws.csv").read_text().splitlines()
         assert lines[0] == "gw_id,x,y,strategy,k,seed"
         assert lines[1].startswith("gw000,0.25,") and lines[1].endswith("regular_grid,2,0")
         assert len(lines) == 3
