@@ -35,8 +35,13 @@ def floats(values):
 
 
 def distinct(values):
-    """A column of numbers that formats each distinct value once, as ``repr``."""
-    table, index = np.unique(values, return_inverse=True)
+    """A column of numbers that formats each distinct value once, as ``repr``.
+
+    Values are told apart by their bit pattern, so ``-0.0`` and ``0.0`` each
+    keep their own ``repr``."""
+    values = np.ascontiguousarray(values)
+    bits, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    table = bits.view(values.dtype)
     return np.array(list(map(repr, table.tolist())), dtype=object), index
 
 

@@ -81,9 +81,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if (self.hydraulic_node_csv is None) != (self.hydraulic_link_csv is None):
             raise ConfigError("hydraulic CSVs must be given as a node/link pair")
+        if self.radio.tx_power_dbm not in self.energy.tx_current_a:
+            raise ConfigError(f"energy.tx_current_a has no entry for radio.tx_power_dbm "
+                              f"{self.radio.tx_power_dbm}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a scenario config is a JSON object, got {type(data).__name__}")
         data = dict(data)
         try:
             radio = _nested(RadioConfig(), data.pop("radio", None), _coerce_radio)
@@ -99,7 +104,11 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise ConfigError(f"{path} cannot be read as UTF-8 JSON: {exc}") from None
+        return cls.from_dict(data)
 
 
 def _nested(defaults, overrides, coerce=None):
@@ -192,23 +201,23 @@ class ScenarioResult:
 
 
 class _Prepared:
-    """Network-derived state shared by every run of a scenario."""
+    """Network-derived state: the network, its graph and the placement
+    weights.  Shared by every run of a scenario and by ``hydrolora weights``
+    and ``hydrolora place``."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.net = read_inp(cfg.inp_path, coordinate_scale=cfg.coordinate_scale)
         self.adj = build_adjacency(self.net)
-        self.stats = graph_stats(self.adj)
         self.cv = degree_centrality(self.adj)
         if cfg.hydraulic_node_csv is not None:
             series = ingest_hydraulic_csv(cfg.hydraulic_node_csv, cfg.hydraulic_link_csv, self.net)
-            flows = series.node_flow
+            self.flows = series.node_flow
             self.flow_warnings: list[str] = []
         else:
             proxy = flow_proxy(self.net, self.adj, weight_by_length=cfg.flow_proxy_by_length)
-            flows = proxy.values
+            self.flows = proxy.values
             self.flow_warnings = [f"unreachable demand at {i}" for i in proxy.unreachable]
-        self.flows = flows
-        self.fw = placement_weights(self.cv, flows, alpha=cfg.alpha)
+        self.fw = placement_weights(self.cv, self.flows, alpha=cfg.alpha)
 
     def place(self, cfg: ScenarioConfig, strategy: str, k: int) -> GatewaySet:
         return place(
@@ -216,7 +225,6 @@ class _Prepared:
             bbox=self.net.bbox,
             node_xy=self.net.coordinates(),
             weights=self.fw.weight,
-            seed=0,  # placement strategies are deterministic; recorded for provenance
             snap_to_nodes=cfg.snap_gateways_to_nodes,
             radius_m=cfg.greedy_radius_m,
         )
@@ -281,7 +289,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         outdir = Path(cfg.output_dir) / cfg.name
         outdir.mkdir(parents=True, exist_ok=True)
         summary = prepared.net.summary()
-        summary["graph"] = prepared.stats.as_dict()
+        summary["graph"] = graph_stats(prepared.adj).as_dict()
         summary["flow_warnings"] = prepared.flow_warnings
         (outdir / "network_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -349,16 +357,12 @@ class KpiResult:
     evaluated: list[ComparisonRow]
 
 
-def kpi_search(cfg: ScenarioConfig, predicate, strategy: str | None = None,
-               axis: str = "k") -> KpiResult:
-    """Smallest sweep-axis value whose mean summary satisfies the predicate,
-    by linear scan (no bisection assumption).  The gateway count is the one
-    supported axis.  ``predicate`` is a callable on a ComparisonRow or a
-    string such as ``"pdr>=0.9"``.  Evaluates the given strategy (default:
-    the first configured one); no artifacts are written.
+def kpi_search(cfg: ScenarioConfig, predicate, strategy: str | None = None) -> KpiResult:
+    """Smallest gateway count whose mean summary satisfies the predicate, by
+    linear scan (no bisection assumption).  ``predicate`` is a callable on a
+    ComparisonRow or a string such as ``"pdr>=0.9"``.  Evaluates the given
+    strategy (default: the first configured one); no artifacts are written.
     """
-    if axis != "k":
-        raise ConfigError(f"unsupported sweep axis {axis!r}; only 'k' is available")
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
     if not cfg.gateway_counts:

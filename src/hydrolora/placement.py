@@ -107,7 +107,6 @@ def degree_centrality_deploy(
     k: int,
     node_xy: np.ndarray,
     weights: np.ndarray,
-    seed: int = 0,
     *,
     max_iter: int = 100,
     snap_to_nodes: bool = False,
@@ -119,8 +118,7 @@ def degree_centrality_deploy(
     weight-weighted centroids, and the loop stops when the largest center
     displacement drops below 1e-6 of the bbox diagonal.  An emptied cluster
     is reseeded at the node with the largest weight * squared-distance to
-    its current center.  The seed is recorded for provenance only; nothing
-    here is random.
+    its current center.  Nothing here is random.
     """
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -177,8 +175,7 @@ def degree_centrality_deploy(
 
     positions = [(float(x), float(y)) for x, y in centers]
     return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=positions,
-                      provenance={"seed": seed, "snap_to_nodes": snap_to_nodes,
-                                  "objective": previous_objective})
+                      provenance={"snap_to_nodes": snap_to_nodes, "objective": previous_objective})
 
 
 def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +221,6 @@ def greedy_coverage_deploy(
     node_xy: np.ndarray,
     weights: np.ndarray,
     radius_m: float = 1000.0,
-    seed: int = 0,
 ) -> GatewaySet:
     """Greedy weighted max-coverage: repeatedly take the node covering the
     most uncovered weight within the radius.  Alternative to k-means.
@@ -288,25 +284,26 @@ def greedy_coverage_deploy(
         heapq.heappush(heap, (neg_gain, pick))  # saturated rounds pick it again
     positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
     return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
-                      provenance={"seed": seed, "radius_m": radius_m})
+                      provenance={"radius_m": radius_m})
 
 
 def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
-          seed: int = 0, snap_to_nodes: bool = False, radius_m: float = 1000.0) -> GatewaySet:
+          snap_to_nodes: bool = False, radius_m: float = 1000.0) -> GatewaySet:
     """Dispatch to a placement strategy by name."""
     if strategy == REGULAR_GRID:
         return regular_grid_deploy(k, bbox)
     if strategy == DEGREE_CENTRALITY:
-        return degree_centrality_deploy(k, node_xy, weights, seed, snap_to_nodes=snap_to_nodes)
+        return degree_centrality_deploy(k, node_xy, weights, snap_to_nodes=snap_to_nodes)
     if strategy == GREEDY_COVERAGE:
-        return greedy_coverage_deploy(k, node_xy, weights, radius_m=radius_m, seed=seed)
+        return greedy_coverage_deploy(k, node_xy, weights, radius_m=radius_m)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def export_gateways_csv(gateways: GatewaySet, path=None) -> None:
-    """Write ``gw_id,x,y,strategy,k,seed`` rows to ``path``, or to stdout when None."""
+    """Write ``gw_id,x,y,strategy,k,seed`` rows to ``path``, or to stdout when
+    None.  Placement is not random, so ``seed`` is always 0."""
     n = len(gateways.positions)
     xy = np.asarray(gateways.positions, dtype=np.float64).reshape(n, 2)
     write_csv(path, "gw_id,x,y,strategy,k,seed", [
         text([f"gw{idx:03d}" for idx in range(n)]), floats(xy[:, 0]), floats(xy[:, 1]),
-        *(text([value] * n) for value in (gateways.strategy, gateways.k, gateways.provenance.get("seed", 0)))])
+        *(text([value] * n) for value in (gateways.strategy, gateways.k, 0))])

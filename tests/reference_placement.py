@@ -1,7 +1,8 @@
-"""Reference oracle: the dense greedy max-coverage placement, kept verbatim.
+"""Reference oracle: the dense greedy max-coverage placement.
 
 This is ``greedy_coverage_deploy`` as it stood before the lazy greedy over
-radius neighbour lists in ``hydrolora.placement`` replaced it: an N x N
+radius neighbour lists in ``hydrolora.placement`` replaced it, less the
+``seed`` argument that only labelled its provenance: an N x N
 squared-distance matrix, an N x N ``within`` mask, and one matrix-vector
 product per pick.  Its gains are BLAS sums, whose rounding depends on the
 kernel, so ``test_placement_oracle.py`` compares against it only on weights
@@ -21,7 +22,6 @@ def greedy_coverage_deploy(
     node_xy: np.ndarray,
     weights: np.ndarray,
     radius_m: float = 1000.0,
-    seed: int = 0,
 ) -> GatewaySet:
     """Greedy weighted max-coverage: repeatedly take the node covering the
     most uncovered weight within the radius.  Alternative to k-means."""
@@ -46,4 +46,4 @@ def greedy_coverage_deploy(
         uncovered[within[pick]] = 0.0
     positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
     return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
-                      provenance={"seed": seed, "radius_m": radius_m})
+                      provenance={"radius_m": radius_m})

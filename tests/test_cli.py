@@ -1,11 +1,20 @@
 """Command-line interface tests: happy paths, exit codes, help text."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrolora import synthetic_wds
-from hydrolora.cli import build_parser, main
+from hydrolora import export_hydraulic_csv, read_inp, synthetic_wds
+from hydrolora.cli import STRATEGY_NAMES, build_parser, main
+from hydrolora.hydraulics import HydraulicSeries
 from tests.conftest import CHAIN_INP, TWO_NODE_INP
 
 
@@ -119,6 +128,36 @@ class TestWeights:
 
 
 class TestPlace:
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_equals_sweep_gateways(self, inp_file, tmp_path, snap):
+        """``place`` and the sweep place through one pipeline: same bytes."""
+        net = read_inp(inp_file)
+        rng = np.random.default_rng(11)
+        nodes, links = tmp_path / "nodes.csv", tmp_path / "links.csv"
+        export_hydraulic_csv(HydraulicSeries(
+            timestamps=np.arange(3) * 3600.0,
+            pressure={node.id: rng.uniform(30.0, 60.0, 3) for node in net.nodes},
+            demand={node.id: rng.uniform(0.0, 2.0, 3) for node in net.nodes},
+            flow={link.id: rng.lognormal(0.0, 2.0, 3) for link in net.links},
+            node_flow=np.zeros(net.node_count)), nodes, links)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({
+            "inp_path": str(inp_file), "name": "one", "output_dir": str(tmp_path / "out"),
+            "hydraulic_node_csv": str(nodes), "hydraulic_link_csv": str(links), "alpha": 0.3,
+            "gateway_counts": [4], "strategies": sorted(STRATEGY_NAMES.values()), "horizon_s": 0.0,
+            "snap_gateways_to_nodes": snap}))
+        assert main(["sweep", "--config", str(config)]) == 0
+        for short, strategy in STRATEGY_NAMES.items():
+            out = tmp_path / f"{short}.csv"
+            argv = ["place", str(inp_file), "--k", "4", "--strategy", short, "--alpha", "0.3",
+                    "--hydraulic", str(nodes), str(links), "--out", str(out)]
+            assert main(argv + ["--snap"] * snap) == 0
+            assert out.read_bytes() == (tmp_path / "out" / "one" / f"gateways_k4_{strategy}.csv").read_bytes()
+        # the hydraulic weights move the weighted placements off the proxy's
+        assert main(["place", str(inp_file), "--k", "4", "--strategy", "centrality", "--alpha", "0.3",
+                     "--out", str(tmp_path / "proxy.csv")]) == 0
+        assert (tmp_path / "proxy.csv").read_bytes() != (tmp_path / "centrality.csv").read_bytes()
+
     def test_grid_to_stdout(self, capsys, inp_file):
         assert main(["place", str(inp_file), "--k", "3", "--strategy", "grid"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -135,6 +174,17 @@ class TestPlace:
     def test_k_exceeding_nodes_domain_error(self, capsys, inp_file):
         assert main(["place", str(inp_file), "--k", "31", "--strategy", "centrality"]) == 1
         assert "error: KExceedsN:" in capsys.readouterr().err
+
+
+class TestBadAlpha:
+    @pytest.mark.parametrize("command", [["weights"], ["place", "--k", "2", "--strategy", "centrality"]])
+    @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "inf"])
+    def test_alpha_outside_unit_interval_is_config_error(self, capsys, inp_file, command, alpha):
+        assert main([command[0], str(inp_file), *command[1:], "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ConfigError: ") and "alpha" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestSimulate:
@@ -205,6 +255,28 @@ class TestSweepAndKpi:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", [b"{not json", b'\xff\xfe{"inp_path": "x"}', b"[1, 2]", b'"net.inp"',
+                                         b"[" * 100_000 + b"]" * 100_000])
+    def test_config_not_a_json_object_is_config_error(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["sweep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", [
+        {"energy": {"tx_current_a": {"15.0": 0.02}}},
+        {"radio": {"tx_power_dbm": 20}},
+    ])
+    def test_tx_power_without_current_is_config_error(self, capsys, config_file, tmp_path, override):
+        config = json.loads(config_file.read_text())
+        config_file.write_text(json.dumps({**config, **override}))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and "tx_current_a" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_kpi_satisfiable(self, capsys, config_file):
         assert main(["kpi", "--config", str(config_file), "--predicate", "pdr>=0"]) == 0
         outcome = json.loads(capsys.readouterr().out)
@@ -242,3 +314,76 @@ class TestUsageErrors:
                 build_parser().parse_args([command, "--help"])
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "{inp}", "--out", "f"],
+        ["parse", "{inp}", "--seed", "1"],
+        ["graph", "{inp}", "--config", "c.json"],
+        ["weights", "{inp}", "--seed", "1"],
+        ["place", "{inp}", "--k", "2", "--strategy", "grid", "--seed", "1"],
+        ["kpi", "--config", "c.json", "--predicate", "pdr>=0", "--out", "d"],
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, inp_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(inp=inp_file) for arg in argv])
+        assert exc.value.code == 2
+
+
+# Flags of the INP subcommands and how many values each takes.
+FUZZ_FLAGS = {
+    "parse": {"--scale": 1},
+    "graph": {"--scale": 1, "--csv": 1},
+    "weights": {"--scale": 1, "--alpha": 1, "--hydraulic": 2, "--out": 1},
+    "place": {"--scale": 1, "--alpha": 1, "--hydraulic": 2, "--out": 1, "--snap": 0},
+}
+FUZZ_VALUES = ("nan", "inf", "-1", "0", "2", "1e308", "x")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inp(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "net.inp"
+    path.write_text(synthetic_wds(30, 2, seed=3, area_m=(3000.0, 2000.0)))
+    return path
+
+
+@contextlib.contextmanager
+def fresh_cwd():
+    """Run in a new empty directory, so that output files of one example
+    neither collide with nor feed the next."""
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            yield
+        finally:
+            os.chdir(previous)
+
+
+@st.composite
+def inp_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    value = st.sampled_from(FUZZ_VALUES)
+    argv = [command]
+    if command == "place":
+        argv += ["--k", draw(value), "--strategy", draw(st.sampled_from(sorted(STRATEGY_NAMES)))]
+    for flag in draw(st.lists(st.sampled_from(sorted(FUZZ_FLAGS[command])), unique=True)):
+        argv += [flag, *(draw(value) for _ in range(FUZZ_FLAGS[command][flag]))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(inp_argvs())
+def test_inp_subcommands_never_trace_back(fuzz_inp, argv):
+    """Exit 0, 1 or 2 on any flag values; exit 1 prints one ``error:`` line;
+    no exception and no warning escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with fresh_cwd(), warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main([argv[0], str(fuzz_inp), *argv[1:]])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -25,6 +25,7 @@ from hydrolora import (
     tokenize_inp,
 )
 from hydrolora.cli import STRATEGY_NAMES, main
+from hydrolora.csvio import distinct
 from hydrolora.hydraulics import HydraulicSeries
 from hydrolora.placement import place
 
@@ -179,3 +180,11 @@ def test_hydraulic_export_round_trips_quoted_ids(tmp_path, pipeline):
     export_hydraulic_csv(again, nodes2, links2)
     assert nodes2.read_bytes() == nodes.read_bytes()
     assert links2.read_bytes() == links.read_bytes()
+
+
+def test_distinct_keeps_the_sign_of_zero():
+    for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, 2.5, -0.0]):
+        table, index = distinct(np.array(values))
+        assert table[index].tolist() == [repr(v) for v in values]
+    table, index = distinct(np.array([7, -3, 7, 0], dtype=np.int64))
+    assert table[index].tolist() == ["7", "-3", "7", "0"]

@@ -257,8 +257,3 @@ class TestKpiSearch:
         assert parse_predicate("pdr>0.9")(row)
         assert not parse_predicate("mean_sf<7")(row)
         assert parse_predicate("mean_sf==7.5")(row)
-
-    def test_unknown_axis_rejected(self, small_inp, tmp_path):
-        cfg = small_config(small_inp, tmp_path, write_artifacts=False)
-        with pytest.raises(ConfigError):
-            kpi_search(cfg, "pdr>=0", axis="alpha")

@@ -105,8 +105,8 @@ class TestDegreeCentralityDeploy:
 
     def test_count_and_determinism(self):
         xy, weights, _ = three_cluster_fixture()
-        a = degree_centrality_deploy(5, xy, weights, seed=1)
-        b = degree_centrality_deploy(5, xy, weights, seed=1)
+        a = degree_centrality_deploy(5, xy, weights)
+        b = degree_centrality_deploy(5, xy, weights)
         assert len(a.positions) == 5
         assert a.positions == b.positions
 

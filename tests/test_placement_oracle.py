@@ -95,7 +95,7 @@ def test_lazy_greedy_matches_dense_greedy(p):
     for i, row in enumerate(within):
         assert indices[indptr[i]:indptr[i + 1]].tolist() == np.flatnonzero(row).tolist()
 
-    args = (p["k"], xy, weights, p["radius_m"], 3)
+    args = (p["k"], xy, weights, p["radius_m"])
     if weights.sum() == 0:
         for deploy in (greedy_coverage_deploy, reference_placement.greedy_coverage_deploy):
             with pytest.raises(AllZeroWeights):
