@@ -45,7 +45,7 @@ print("SF allocation:", {sf: n for sf, n in f.sf_histogram.items() if n})
 print(f"mean SF: {f.mean_sf:.2f}")
 print(f"network energy over the day: {result.energy.total_j:.2f} J")
 
-worst = max(result.devices, key=lambda d: d.energy_j)
+worst = result.devices[result.devices.energy_j.argmax()]
 print(f"\nhungriest device: {worst.id} at SF{worst.sf}, "
       f"{worst.sent} uplinks, {worst.energy_j:.3f} J, battery left {worst.battery_j:.1f} J")
 

@@ -52,7 +52,6 @@ from .placement import (
     regular_grid_deploy,
 )
 from .sim import (
-    EndDeviceState,
     EnergyReport,
     SimulationResult,
     TrafficModel,
@@ -70,7 +69,6 @@ __all__ = [
     "CentralityVector",
     "ComparisonRow",
     "ComparisonTable",
-    "EndDeviceState",
     "EnergyModel",
     "EnergyReport",
     "FlowWeight",

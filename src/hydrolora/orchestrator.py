@@ -89,16 +89,14 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"a scenario config is a JSON object, got {type(data).__name__}")
-        data = dict(data)
         try:
-            radio = _nested(RadioConfig(), data.pop("radio", None), _coerce_radio)
-            energy = _nested(EnergyModel(), data.pop("energy", None), _coerce_energy)
-            propagation = _nested(PropagationModel(), data.pop("propagation", None))
-            traffic = _nested(TrafficModel(), data.pop("traffic", None))
-            return cls(radio=radio, energy=energy, propagation=propagation, traffic=traffic, **data)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario config: {exc}") from None
-        except ValueError as exc:
+            fields = _from_json(cls, data)
+            for name in ("radio", "energy", "propagation", "traffic"):
+                defaults = cls.__dataclass_fields__[name].default_factory()
+                fields[name] = dataclasses.replace(defaults, **_from_json(type(defaults), fields.get(name, {}),
+                                                                          f"{name}."))
+            return cls(**fields)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from None
 
     @classmethod
@@ -111,28 +109,38 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
 
-def _nested(defaults, overrides, coerce=None):
-    if not overrides:
-        return defaults
-    if coerce is not None:
-        overrides = coerce(overrides)
-    return dataclasses.replace(defaults, **overrides)
+# The JSON types that fit a field of each annotation; any other annotation
+# names a nested dataclass, given as an object.  A bool is not a JSON number.
+_JSON_TYPES = {"str": (str,), "None": (type(None),), "bool": (bool,), "int": (int,), "float": (int, float)}
 
 
-def _coerce_radio(overrides: dict) -> dict:
-    overrides = dict(overrides)
-    if "channels_hz" in overrides:
-        overrides["channels_hz"] = tuple(int(c) for c in overrides["channels_hz"])
-    if "sensitivity_dbm" in overrides:
-        overrides["sensitivity_dbm"] = {int(k): float(v) for k, v in overrides["sensitivity_dbm"].items()}
-    return overrides
+def _fits(value, annotation: str) -> bool:
+    """Whether a value parsed from JSON fits a field annotated ``annotation``:
+    ``tuple[T, ...]`` is an array of T, ``dict[K, V]`` an object of V."""
+    head, _, args = annotation.partition("[")
+    if head == "tuple":
+        return type(value) is list and all(_fits(item, args.split(",")[0]) for item in value)
+    if head == "dict":
+        return type(value) is dict and all(_fits(item, args[:-1].split(", ")[1]) for item in value.values())
+    return any(type(value) in _JSON_TYPES.get(kind, (dict,)) for kind in annotation.split(" | "))
 
 
-def _coerce_energy(overrides: dict) -> dict:
-    overrides = dict(overrides)
-    if "tx_current_a" in overrides:
-        overrides["tx_current_a"] = {float(k): float(v) for k, v in overrides["tx_current_a"].items()}
-    return overrides
+def _from_json(dataclass_type, data: dict, prefix: str = "") -> dict:
+    """The fields of ``data`` for ``dataclass_type``, arrays made tuples and the
+    keys and values of objects made numbers.  Raises ConfigError naming the
+    first field whose JSON type does not fit; unknown names pass through."""
+    annotations = {f.name: f.type for f in dataclasses.fields(dataclass_type)}
+    fields = dict(data)
+    for name, value in data.items():
+        annotation = annotations.get(name, "")
+        if annotation and not _fits(value, annotation):
+            raise ConfigError(f"{prefix}{name} must be JSON of type {annotation}, got {type(value).__name__}")
+        if annotation.startswith("tuple"):
+            fields[name] = tuple(value)
+        elif annotation.startswith("dict"):
+            key_type, value_type = ({"int": int, "float": float}[kind] for kind in annotation[5:-1].split(", "))
+            fields[name] = {key_type(k): value_type(v) for k, v in value.items()}
+    return fields
 
 
 @dataclass(frozen=True)

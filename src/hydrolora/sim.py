@@ -77,21 +77,6 @@ class TrafficModel:
             raise ValueError("first_offset_s must be nonnegative")
 
 
-@dataclass(slots=True)
-class EndDeviceState:
-    """Final per-device state after a run."""
-
-    id: str
-    sf: int
-    coverage_marginal: bool
-    battery_j: float
-    sent: int = 0
-    delivered: int = 0
-    lost_no_coverage: int = 0
-    lost_collision: int = 0
-    energy_j: float = 0.0
-
-
 @dataclass(frozen=True)
 class Transmissions:
     """Every uplink attempt of a run as columns, in start order (time, then
@@ -127,11 +112,9 @@ class Transmissions:
 
 @dataclass
 class WirelessFeatures:
-    """Per-device radio figures plus network totals."""
+    """Network totals, plus every device's SF as the view ``devices.sf``."""
 
     sf_per_device: np.ndarray
-    best_rssi_dbm: np.ndarray
-    pdr_per_device: np.ndarray
     sf_histogram: dict[int, int]
     sent: int
     delivered: int
@@ -145,7 +128,6 @@ class WirelessFeatures:
 class EnergyReport:
     """Joules consumed over the horizon plus sampled battery trajectories."""
 
-    per_device_j: np.ndarray
     total_j: float
     sample_times_s: np.ndarray
     battery_j: np.ndarray  # shape (devices, samples)
@@ -153,16 +135,16 @@ class EnergyReport:
 
 @dataclass
 class SimulationResult:
-    devices: list[EndDeviceState]
+    """One run.  ``devices`` is a record array, one row per device in network
+    node order, with the fields ``id``, ``sf``, ``coverage_marginal``,
+    ``best_rssi_dbm``, ``sent``, ``delivered``, ``lost_no_coverage``,
+    ``lost_collision``, ``energy_j`` and ``battery_j`` (left at the end)."""
+
+    devices: np.recarray
     records: Transmissions
     features: WirelessFeatures
     energy: EnergyReport
     link_rssi_dbm: np.ndarray  # (N, K) static received power
-    gateway_ids: list[str]
-    horizon_s: float
-    seed: int
-    cfg: RadioConfig
-    energy_model: EnergyModel
 
 
 def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndarray,
@@ -292,11 +274,14 @@ def simulate(
         raise NoDevices("network has no nodes to host devices")
     if gw_xy.shape[0] == 0 or gw_xy.size == 0:
         raise NoGateways("need at least one gateway")
+    if gw_xy.ndim != 2 or gw_xy.shape[1] != 2 or not np.isfinite(gw_xy).all():
+        raise NoGateways(f"gateways must be finite (K, 2) coordinates, got an array of shape {gw_xy.shape}")
     if not 0 <= horizon_s < math.inf:
         raise ValueError("horizon_s must be finite and nonnegative")
+    if not 0 < battery_sample_s < math.inf:
+        raise ValueError("battery_sample_s must be finite and positive")
 
     n, k = net.node_count, len(gw_xy)
-    gateway_ids = [f"gw{j:03d}" for j in range(k)]
 
     shadowing = None
     if propagation.shadowing_sigma_db > 0:
@@ -311,42 +296,43 @@ def simulate(
     else:
         raise InvalidSf(f"force_sf={force_sf} outside {cfg.sf_min}..{cfg.sf_max}")
 
-    # Per-SF constants, indexed by sf - sf_min, then per device.
+    # Per-SF tables, indexed by sf - sf_min, then per device.
     airtimes = [airtime(sf, cfg) for sf in cfg.sfs()]
     energies = [energy_model.uplink_energy_j(cfg.tx_power_dbm, a) for a in airtimes]
+    # Uplinks the battery affords, as Python float floor division.
+    sends_by_sf = [min(int(energy_model.initial_battery_j // e), np.iinfo(np.int64).max) for e in energies]
     airtime_by_sf = np.array(airtimes)
     sf_slot = sfs - cfg.sf_min
     uplink_j = np.array(energies)[sf_slot]
-    # Uplinks the battery affords, as Python float floor division per device.
-    max_sends = np.array([min(int(energy_model.initial_battery_j // energies[s]), np.iinfo(np.int64).max)
-                          for s in sf_slot.tolist()], dtype=np.int64)
+    max_sends = np.array(sends_by_sf, dtype=np.int64)[sf_slot]
     # Duty cycle caps the start-to-start pace at airtime / limit.
     min_gap = airtime_by_sf[sf_slot] / cfg.duty_cycle_limit
+    sensitivity = np.array([cfg.sensitivity_dbm[sf] for sf in cfg.sfs()])[sf_slot]
 
     time_s, device, pick = _traffic(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
     order = np.lexsort((device, time_s))
     time_s, device, pick = time_s[order], device[order], pick[order]
     uplink_sf_slot = sf_slot[device]
-    hearable = link_rssi >= np.array([cfg.sensitivity_dbm[sf] for sf in sfs.tolist()])[:, None]
     outcome, best_gw = _outcomes(time_s, device, pick * len(airtimes) + uplink_sf_slot,
-                                 airtime_by_sf[uplink_sf_slot], link_rssi, hearable, cfg.capture_threshold_db)
+                                 airtime_by_sf[uplink_sf_slot], link_rssi, link_rssi >= sensitivity[:, None],
+                                 cfg.capture_threshold_db)
 
+    sent = np.bincount(device, minlength=n)
+    counts = [np.bincount(device[outcome == code], minlength=n) for code in range(len(OUTCOMES))]
+    # Energy: per-device count times constant per-uplink cost, exact.
+    energy_j = sent * uplink_j
+    devices = np.rec.fromarrays(
+        [np.array([node.id for node in net.nodes], dtype=object), sfs, marginal, best_rssi, sent, *counts,
+         energy_j, energy_model.initial_battery_j - energy_j],
+        names="id,sf,coverage_marginal,best_rssi_dbm,sent,delivered,lost_no_coverage,lost_collision,"
+              "energy_j,battery_j")
     records = Transmissions(
         time_s=time_s, device_index=device,
         channel_hz=np.asarray(cfg.channels_hz, dtype=np.int64)[pick], sf=sfs[device],
         airtime_s=airtime_by_sf[uplink_sf_slot], best_rssi_dbm=best_rssi[device],
         outcome_code=outcome, best_gw_index=best_gw,
-        device_ids=np.array([node.id for node in net.nodes]), gateway_ids=tuple(gateway_ids),
+        device_ids=devices.id, gateway_ids=tuple(f"gw{j:03d}" for j in range(k)),
     )
-
-    sent = np.bincount(device, minlength=n)
-    counts = [np.bincount(device[outcome == code], minlength=n) for code in range(len(OUTCOMES))]
-    # Energy: per-device count times constant per-uplink cost, exact.
-    per_device_j = sent * uplink_j
-    battery_end = energy_model.initial_battery_j - per_device_j
-    devices = [EndDeviceState(*row) for row in zip(
-        [node.id for node in net.nodes], sfs.tolist(), marginal.tolist(), battery_end.tolist(), sent.tolist(),
-        *(c.tolist() for c in counts), per_device_j.tolist())]
 
     sample_times = np.arange(0.0, horizon_s + battery_sample_s / 2, battery_sample_s)
     if len(sample_times) == 0:
@@ -359,20 +345,13 @@ def simulate(
 
     delivered, lost_nc, lost_col = (int(c.sum()) for c in counts)
     features = WirelessFeatures(
-        sf_per_device=sfs.copy(), best_rssi_dbm=best_rssi.copy(),
-        pdr_per_device=np.divide(counts[0], sent, out=np.full(n, math.nan), where=sent > 0),
-        sf_histogram={sf: int((sfs == sf).sum()) for sf in cfg.sfs()},
+        sf_per_device=devices.sf, sf_histogram={sf: int((sfs == sf).sum()) for sf in cfg.sfs()},
         sent=len(time_s), delivered=delivered, lost_no_coverage=lost_nc, lost_collision=lost_col,
         pdr=delivered / len(time_s) if len(time_s) else math.nan, mean_sf=float(sfs.mean()),
     )
-    total_j = sum(float(v) for v in per_device_j)
-    energy = EnergyReport(per_device_j=per_device_j, total_j=total_j,
-                          sample_times_s=sample_times, battery_j=battery)
-    return SimulationResult(
-        devices=devices, records=records, features=features, energy=energy,
-        link_rssi_dbm=link_rssi, gateway_ids=gateway_ids, horizon_s=horizon_s,
-        seed=seed, cfg=cfg, energy_model=energy_model,
-    )
+    energy = EnergyReport(total_j=sum(energy_j.tolist()), sample_times_s=sample_times, battery_j=battery)
+    return SimulationResult(devices=devices, records=records, features=features, energy=energy,
+                            link_rssi_dbm=link_rssi)
 
 
 def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
@@ -389,7 +368,7 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {name: outdir / f"{name}.csv" for name in ("transmissions", "energy", "battery")}
     devices, recs = result.devices, result.records
-    ids = [dev.id for dev in devices]
+    ids = devices.id.tolist()
     id_fields, every_device = text(ids)
 
     id_rank = np.empty(len(ids), dtype=np.int64)
@@ -398,12 +377,12 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
         floats(recs.time_s[order]), (id_fields, recs.device_index[order]),
         distinct(recs.channel_hz[order]), distinct(recs.sf[order]), distinct(recs.airtime_s[order]),
-        text([*result.gateway_ids, ""], recs.best_gw_index[order]),
+        text([*recs.gateway_ids, ""], recs.best_gw_index[order]),
         distinct(recs.best_rssi_dbm[order]), text(OUTCOMES, recs.outcome_code[order]),
     ])
     fields = ("sent", "delivered", "lost_no_coverage", "lost_collision", "energy_j", "battery_j")
     write_csv(paths["energy"], "device_id,sent,delivered,lost_no_coverage,lost_collision,energy_j,battery_end_j",
-              [(id_fields, every_device)] + [(None, np.array([getattr(d, f) for d in devices])) for f in fields])
+              [(id_fields, every_device)] + [(None, devices[field]) for field in fields])
     samples = len(result.energy.sample_times_s)
     write_csv(paths["battery"], "time_s,device_id,battery_j", [
         distinct(np.repeat(result.energy.sample_times_s, len(ids))),

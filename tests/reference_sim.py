@@ -5,7 +5,9 @@ This is the uplink simulator as it stood before the columnar core in
 ``heapq`` queue of (time, device) entries, chunked per-device draws and a
 pairwise collision loop, plus its CSV exporter and the scalar ADR scan.  The
 only edits are the dropped ``EndDeviceState`` fields (index, x, y, period_s).
-The differential test in ``test_sim_oracle.py`` requires the shipped
+Its result types (``EndDeviceState``, ``WirelessFeatures``, ``EnergyReport``)
+are its own copies, so the oracle shares no result type with the code under
+test.  The differential test in ``test_sim_oracle.py`` requires the shipped
 simulator to match it bit for bit.
 """
 
@@ -23,7 +25,7 @@ from hydrolora.errors import InvalidSf, NoDevices, NoGateways
 from hydrolora.inp import WaterNetwork
 from hydrolora.lora import EnergyModel, PropagationModel, RadioConfig, airtime, link_rssi_matrix
 from hydrolora.rng import substream
-from hydrolora.sim import EndDeviceState, EnergyReport, TrafficModel, WirelessFeatures
+from hydrolora.sim import TrafficModel
 
 
 def _smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, bool]:
@@ -32,6 +34,47 @@ def _smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, 
         if cfg.sensitivity_dbm[sf] <= budget:
             return sf, False
     return cfg.sf_max, True
+
+
+@dataclass(slots=True)
+class EndDeviceState:
+    """Final per-device state after a run."""
+
+    id: str
+    sf: int
+    coverage_marginal: bool
+    battery_j: float
+    sent: int = 0
+    delivered: int = 0
+    lost_no_coverage: int = 0
+    lost_collision: int = 0
+    energy_j: float = 0.0
+
+
+@dataclass
+class WirelessFeatures:
+    """Per-device radio figures plus network totals."""
+
+    sf_per_device: np.ndarray
+    best_rssi_dbm: np.ndarray
+    pdr_per_device: np.ndarray
+    sf_histogram: dict[int, int]
+    sent: int
+    delivered: int
+    lost_no_coverage: int
+    lost_collision: int
+    pdr: float
+    mean_sf: float
+
+
+@dataclass
+class EnergyReport:
+    """Joules consumed over the horizon plus sampled battery trajectories."""
+
+    per_device_j: np.ndarray
+    total_j: float
+    sample_times_s: np.ndarray
+    battery_j: np.ndarray  # shape (devices, samples)
 
 
 @dataclass(slots=True)

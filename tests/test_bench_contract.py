@@ -3,7 +3,9 @@
 ``perfbench/replay.py`` replaces each name in its ``SPANS`` table, plus
 ``place`` and ``simulate``, with a span-timing wrapper.  A wrapper only sees
 the calls the orchestrator makes through that module global, so every such
-name must stay a callable global that the orchestrator's code reads.
+name must stay a callable global that the orchestrator's code reads.  Its
+``simulate`` wrapper also reads the result: per-device rows, SFs, totals,
+energy and the link budget, checked against its own ``lora`` probes.
 """
 
 import dis
@@ -12,8 +14,17 @@ import types
 from pathlib import Path
 
 import hydrolora.orchestrator as orchestrator
+from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig
+from tests.conftest import make_network
 
 REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
+
+
+def load_replay():
+    spec = importlib.util.spec_from_file_location("perfbench_replay", REPLAY)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    return replay
 
 
 def globals_loaded(code: types.CodeType) -> set[str]:
@@ -26,12 +37,24 @@ def globals_loaded(code: types.CodeType) -> set[str]:
 
 
 def test_replay_patches_callable_orchestrator_globals():
-    spec = importlib.util.spec_from_file_location("perfbench_replay", REPLAY)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
+    replay = load_replay()
     patched = set(replay.SPANS) | {"place", "simulate"}
     source = Path(orchestrator.__file__).read_text(encoding="utf-8")
     loaded = globals_loaded(compile(source, orchestrator.__file__, "exec"))
     for name in sorted(patched):
         assert callable(vars(orchestrator).get(name)), name
         assert name in loaded, name
+
+
+def test_replay_checks_pass_on_a_simulation(monkeypatch):
+    replay = load_replay()
+    for name in [*replay.SPANS, "place", "simulate"]:  # restored after the test
+        monkeypatch.setattr(orchestrator, name, getattr(orchestrator, name))
+    sims = replay.instrument(replay.Tracer())
+    net = make_network(12, [(i, i + 1) for i in range(1, 12)],
+                       coords={i: (i * 400.0, (i % 4) * 700.0) for i in range(1, 13)})
+    gateways = GatewaySet(positions=[(1000.0, 500.0), (3500.0, 1500.0)], strategy="test", k=2, provenance={})
+    result = orchestrator.simulate(net, gateways, RadioConfig(), EnergyModel(), seed=3, horizon_s=3600.0,
+                                   propagation=PropagationModel(shadowing_sigma_db=6.0))
+    assert result.features.sent > 0 and len(set(result.features.sf_per_device.tolist())) > 1
+    assert [sim["problems"] for sim in sims] == [[]]

@@ -277,6 +277,18 @@ class TestSweepAndKpi:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", [
+        {"name": 5}, {"inp_path": 5}, {"snap_gateways_to_nodes": "false"}, {"write_artifacts": "no"},
+        {"strategies": "regular_grid"}, {"seeds": [float("inf")]}, {"radio": {"sensitivity_dbm": None}},
+    ])
+    def test_wrong_json_type_is_config_error(self, capsys, config_file, tmp_path, override):
+        config = json.loads(config_file.read_text())
+        config_file.write_text(json.dumps({**config, **override}))
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_kpi_satisfiable(self, capsys, config_file):
         assert main(["kpi", "--config", str(config_file), "--predicate", "pdr>=0"]) == 0
         outcome = json.loads(capsys.readouterr().out)

@@ -1,14 +1,26 @@
 """Scenario sweep, comparison table, and KPI search tests."""
 
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrolora import ScenarioConfig, kpi_search, run_scenario, synthetic_wds
-from hydrolora.errors import ConfigError, EmptySweep, PredicateError, ScenarioError
+from hydrolora import (
+    EnergyModel,
+    PropagationModel,
+    RadioConfig,
+    ScenarioConfig,
+    TrafficModel,
+    kpi_search,
+    run_scenario,
+    synthetic_wds,
+)
+from hydrolora.errors import ConfigError, EmptySweep, HydroLoraError, PredicateError, ScenarioError
 from hydrolora.orchestrator import ComparisonRow, ComparisonTable, export_comparison, parse_predicate
 
 
@@ -92,6 +104,40 @@ class TestScenarioConfig:
     def test_from_dict_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"inp_path": "x", "radio": {"nope": 1}})
+
+    @pytest.mark.parametrize("data,field", [
+        ({"name": 5}, "name"), ({"inp_path": 5}, "inp_path"), ({"output_dir": ["out"]}, "output_dir"),
+        ({"hydraulic_node_csv": 1, "hydraulic_link_csv": "l.csv"}, "hydraulic_node_csv"),
+        ({"snap_gateways_to_nodes": "false"}, "snap_gateways_to_nodes"),
+        ({"write_artifacts": "no"}, "write_artifacts"),
+        ({"flow_proxy_by_length": 0}, "flow_proxy_by_length"), ({"strategies": "regular_grid"}, "strategies"),
+        ({"gateway_counts": 5}, "gateway_counts"), ({"seeds": {"0": 1}}, "seeds"), ({"alpha": True}, "alpha"),
+        ({"radio": None}, "radio"), ({"traffic": []}, "traffic"), ({"traffic": {"mode": 1}}, "traffic.mode"),
+        ({"energy": {"initial_battery_j": "1e4"}}, "energy.initial_battery_j"),
+    ])
+    def test_from_dict_json_type_names_the_field(self, data, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be JSON of type "):
+            ScenarioConfig.from_dict({"inp_path": "x", **data})
+
+    # Found by the from_dict fuzzer: a map field that is not a JSON object
+    # ended in AttributeError ('list' object has no attribute 'items').
+    @pytest.mark.parametrize("data", [{"radio": {"sensitivity_dbm": [-123.0]}},
+                                      {"energy": {"tx_current_a": None}}])
+    def test_from_dict_map_field_not_an_object(self, data):
+        with pytest.raises(ConfigError, match="sensitivity_dbm|tx_current_a"):
+            ScenarioConfig.from_dict({"inp_path": "x", **data})
+
+    # Infinity in an integer array ended in OverflowError from int().
+    @pytest.mark.parametrize("data", [{"seeds": [math.inf]}, {"gateway_counts": [2, math.inf]},
+                                      {"radio": {"channels_hz": [-math.inf]}}])
+    def test_from_dict_non_finite_in_integer_array(self, data):
+        with pytest.raises(ConfigError, match="seeds|gateway_counts|channels_hz"):
+            ScenarioConfig.from_dict({"inp_path": "x", **data})
+
+    # A JSON integer beyond the float range in a table of floats ended in OverflowError.
+    def test_from_dict_integer_too_large_for_float_table(self):
+        with pytest.raises(ConfigError, match="too large"):
+            ScenarioConfig.from_dict({"inp_path": "x", "energy": {"tx_current_a": {"14.0": 10**400}}})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -257,3 +303,36 @@ class TestKpiSearch:
         assert parse_predicate("pdr>0.9")(row)
         assert not parse_predicate("mean_sf<7")(row)
         assert parse_predicate("mean_sf==7.5")(row)
+
+
+NESTED = {"radio": RadioConfig, "energy": EnergyModel, "propagation": PropagationModel, "traffic": TrafficModel}
+FIELD_PATHS = [(f.name,) for f in dataclasses.fields(ScenarioConfig)] + [
+    (outer, f.name) for outer, cls in NESTED.items() for f in dataclasses.fields(cls)]
+JSON_KEYS = st.text(max_size=4) | st.sampled_from(["7", "12", "14.0", "inf", "nan", "1e400"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([math.inf, -math.inf, math.nan, 10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def config_dicts(draw):
+    """A valid config with up to three top-level or nested fields set to
+    arbitrary JSON values."""
+    data = {"inp_path": "net.inp"}
+    for path in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=3, unique=True)):
+        if len(path) == 1:
+            data[path[0]] = draw(JSON_VALUES)
+        elif isinstance(data.setdefault(path[0], {}), dict):
+            data[path[0]][path[1]] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(data=config_dicts() | JSON_VALUES)
+def test_from_dict_raises_only_domain_errors(data):
+    try:
+        ScenarioConfig.from_dict(data)
+    except HydroLoraError:
+        pass

@@ -71,6 +71,19 @@ class TestSingleLink:
         with pytest.raises(NoGateways):
             simulate(single_device_net(), np.empty((0, 2)), horizon_s=10.0)
 
+    @pytest.mark.parametrize("gateways", [
+        [(math.nan, 0.0)], [(10.0, math.inf)], [(10.0, 0.0), (-math.inf, 5.0)],  # non-finite
+        np.zeros((2, 3)), [[0.0]], np.zeros((1, 2, 2)),  # not (K, 2)
+    ])
+    def test_gateways_must_be_finite_k_by_2(self, gateways):
+        with pytest.raises(NoGateways, match=r"finite \(K, 2\)"):
+            simulate(single_device_net(), gateways, horizon_s=10.0)
+
+    @pytest.mark.parametrize("battery_sample_s", [0.0, -3600.0, math.nan, math.inf])
+    def test_battery_sample_must_be_finite_and_positive(self, battery_sample_s):
+        with pytest.raises(ValueError, match="battery_sample_s"):
+            simulate(single_device_net(), [(10.0, 0.0)], horizon_s=10.0, battery_sample_s=battery_sample_s)
+
 
 class TestCollisions:
     def two_device_net(self, xy1, xy2):
@@ -213,7 +226,7 @@ class TestEnergyProperties:
         net = self.net()
         base = simulate(net, [(200.0, 40.0)], horizon_s=3600.0, seed=6)
         more = simulate(net, [(200.0, 40.0), (350.0, 0.0)], horizon_s=3600.0, seed=6)
-        assert np.all(more.features.best_rssi_dbm >= base.features.best_rssi_dbm)
+        assert np.all(more.devices.best_rssi_dbm >= base.devices.best_rssi_dbm)
         assert np.all(more.features.sf_per_device <= base.features.sf_per_device)
 
 
