@@ -21,9 +21,16 @@ net = read_inp(inp_path)
 print("\nnetwork summary:")
 print(json.dumps(net.summary(), indent=2))
 
+# Nodes and links are record arrays in file order: read a whole column at once.
+nodes, head = net.nodes, net.nodes[:3]
 print("\nfirst three nodes (file order is preserved):")
-for node in net.nodes[:3]:
-    print(f"  {node.id}: {node.kind}, demand={node.base_demand}, at {node.position}")
+for node_id, kind, demand, (x, y) in zip(head.id, head.kind, head.base_demand, head.position):
+    print(f"  {node_id}: {kind}, demand={demand}, at ({x}, {y})")
+
+print("\nfirst three links, endpoints as node row indices and as ids:")
+links = net.links[:3]
+for link_id, i, j, length in zip(links.id, links.from_index, links.to_index, links.length):
+    print(f"  {link_id}: {i} -> {j} ({nodes.id[i]} -> {nodes.id[j]}), length {length} m")
 
 # The parser refuses silent damage: dangling endpoints, duplicate ids,
 # self-loops, or nodes without coordinates all raise typed errors.

@@ -18,7 +18,7 @@ from .hydraulics import (
     ingest_hydraulic_csv,
     placement_weights,
 )
-from .inp import InpDocument, LinkRecord, NodeRecord, WaterNetwork, build_network, read_inp, tokenize_inp
+from .inp import InpDocument, WaterNetwork, build_network, read_inp, tokenize_inp
 from .lora import (
     EnergyModel,
     PropagationModel,
@@ -77,8 +77,6 @@ __all__ = [
     "HydroLoraError",
     "InpDocument",
     "KpiResult",
-    "LinkRecord",
-    "NodeRecord",
     "PropagationModel",
     "ProxyFlow",
     "RadioConfig",

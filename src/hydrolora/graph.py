@@ -23,7 +23,7 @@ from .inp import WaterNetwork
 class Adjacency:
     """Sparse symmetric adjacency over node indices, zero diagonal."""
 
-    node_ids: list[str]
+    node_ids: np.ndarray  # the network's ``nodes.id`` column
     neighbors: list[np.ndarray]  # sorted index arrays, one per node
 
     @property
@@ -60,17 +60,11 @@ def build_adjacency(net: WaterNetwork) -> Adjacency:
     n = net.node_count
     if n < 2:
         raise TooFewNodes(f"need at least 2 nodes, got {n}")
-    index = net.node_index
-    pairs = set()
-    for link in net.links:
-        i, j = index[link.from_node], index[link.to_node]
-        pairs.add((i, j) if i < j else (j, i))
-    sets: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        sets[i].append(j)
-        sets[j].append(i)
-    neighbors = [np.array(sorted(nb), dtype=np.int64) for nb in sets]
-    return Adjacency(node_ids=[node.id for node in net.nodes], neighbors=neighbors)
+    i, j = net.links.from_index, net.links.to_index
+    # Both directions of every connected pair, once each, sorted by (from, to).
+    keys = np.unique(np.concatenate([i * n + j, j * n + i]))
+    neighbors = np.split(keys % n, np.searchsorted(keys // n, np.arange(1, n)))
+    return Adjacency(node_ids=net.nodes.id, neighbors=neighbors)
 
 
 def degree_centrality(adj: Adjacency) -> CentralityVector:

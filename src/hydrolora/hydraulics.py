@@ -69,16 +69,15 @@ def _read_long_csv(path, required: list[str]) -> dict[str, np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{path}: empty file, header row required") from None
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise SchemaMismatch(f"{path}: missing required column(s) {missing}")
-        id_pos = header.index(required[1])
-        value_pos = [header.index(col) for col in required if col != required[1]]
-        rows: dict[str, list[list[float]]] = {}
-        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaMismatch(f"{path}: empty file, header row required")
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise SchemaMismatch(f"{path}: missing required column(s) {missing}")
+            id_pos = header.index(required[1])
+            value_pos = [header.index(col) for col in required if col != required[1]]
+            rows: dict[str, list[list[float]]] = {}
             for row in reader:
                 if row:
                     entity = row[id_pos]
@@ -91,6 +90,8 @@ def _read_long_csv(path, required: list[str]) -> dict[str, np.ndarray]:
         except IndexError:
             raise SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), "
                                  f"header has {len(header)}") from None
+        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line number
+            raise SchemaMismatch(f"{path}: not valid UTF-8: {exc}") from None
         except (ValueError, csv.Error) as exc:
             raise SchemaMismatch(f"{path}, line {reader.line_num}: {exc}") from None
     tables = {}
@@ -125,13 +126,12 @@ def ingest_hydraulic_csv(node_csv, link_csv, net: WaterNetwork) -> HydraulicSeri
     node_rows = _read_long_csv(node_csv, ["time_s", "node_id", "pressure", "demand"])
     link_rows = _read_long_csv(link_csv, ["time_s", "link_id", "flow"])
 
-    index = net.node_index
     for entity in node_rows:
-        if entity not in index:
+        if entity not in net.node_index:
             raise UnknownId(f"node {entity!r} not in network")
-    link_index = {link.id: link for link in net.links}
+    link_row = dict(zip(net.links.id.tolist(), range(len(net.links))))
     for entity in link_rows:
-        if entity not in link_index:
+        if entity not in link_row:
             raise UnknownId(f"link {entity!r} not in network")
 
     node_grid = _series_grid(node_csv, node_rows)
@@ -146,12 +146,12 @@ def ingest_hydraulic_csv(node_csv, link_csv, net: WaterNetwork) -> HydraulicSeri
     demand = {e: table[:, 2] for e, table in node_rows.items()}
     flow = {e: table[:, 1] for e, table in link_rows.items()}
 
+    # Each link's mean absolute flow goes to its from node, then its to node,
+    # link by link in flow-file order.
+    links = net.links[[link_row[link_id] for link_id in flow]]
+    mean_abs = [float(np.mean(np.abs(series))) for series in flow.values()]
     node_flow = np.zeros(net.node_count, dtype=np.float64)
-    for link_id, series in flow.items():
-        link = link_index[link_id]
-        mean_abs = float(np.mean(np.abs(series))) if len(series) else 0.0
-        node_flow[index[link.from_node]] += mean_abs
-        node_flow[index[link.to_node]] += mean_abs
+    np.add.at(node_flow, np.stack([links.from_index, links.to_index], axis=1).ravel(), np.repeat(mean_abs, 2))
     node_flow /= 2.0
 
     return HydraulicSeries(timestamps=grid, pressure=pressure, demand=demand, flow=flow, node_flow=node_flow)
@@ -185,7 +185,7 @@ def flow_proxy(net: WaterNetwork, adj: Adjacency, weight_by_length: bool = False
     length instead; pumps and valves count as zero-length connections.
     """
     n = net.node_count
-    sources = [i for i, node in enumerate(net.nodes) if node.kind in ("reservoir", "tank")]
+    sources = np.flatnonzero(np.isin(net.nodes.kind, ("reservoir", "tank"))).tolist()
     if not sources:
         raise NoSource("no reservoir or tank in network")
 
@@ -212,7 +212,7 @@ def flow_proxy(net: WaterNetwork, adj: Adjacency, weight_by_length: bool = False
         if p >= 0:
             values[p] += values[v]
 
-    unreachable = [net.nodes[i].id for i in range(n) if not seen[i] and net.nodes[i].base_demand > 0]
+    unreachable = net.nodes.id[~seen & (net.nodes.base_demand > 0)].tolist()
     return ProxyFlow(values=values, unreachable=unreachable)
 
 
@@ -221,12 +221,10 @@ def _shortest_by_length(net: WaterNetwork, adj: Adjacency, sources: list[int]):
     node file order, parallel links take the shortest length."""
     import heapq
 
-    index = net.node_index
     length_of: dict[tuple[int, int], float] = {}
-    for link in net.links:
-        i, j = index[link.from_node], index[link.to_node]
+    lengths = np.nan_to_num(net.links.length, nan=0.0)  # pumps and valves count as zero length
+    for i, j, length in zip(net.links.from_index.tolist(), net.links.to_index.tolist(), lengths.tolist()):
         pair = (i, j) if i < j else (j, i)
-        length = link.length if link.length is not None else 0.0
         length_of[pair] = min(length, length_of.get(pair, math.inf))
 
     n = net.node_count

@@ -13,6 +13,7 @@ is supplied.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -105,35 +106,26 @@ def tokenize_inp(text: str | bytes) -> InpDocument:
     return doc
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """A junction, reservoir, or tank with planar position."""
-
-    id: str
-    kind: str  # junction | reservoir | tank
-    elevation: float  # head for reservoirs
-    base_demand: float  # total over all demand categories; 0 for sources
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    """A pipe, pump, or valve between two nodes."""
-
-    id: str
-    kind: str  # pipe | pump | valve
-    from_node: str
-    to_node: str
-    length: float | None = None  # pipes only
-    diameter: float | None = None  # pipes only
+# One row per node and per link, in file order.  Ids and kinds are Python
+# strings (object dtype); a link's endpoints are node row indices, and its
+# length and diameter are NaN for pumps and valves.
+NODE_DTYPE = np.dtype([("id", object), ("kind", object), ("elevation", np.float64),
+                       ("base_demand", np.float64), ("position", np.float64, (2,))])
+LINK_DTYPE = np.dtype([("id", object), ("kind", object), ("from_index", np.int64), ("to_index", np.int64),
+                       ("length", np.float64), ("diameter", np.float64)])
 
 
 @dataclass
 class WaterNetwork:
-    """Validated water-distribution network in file order."""
+    """Validated water-distribution network: two record arrays in file order.
 
-    nodes: list[NodeRecord]
-    links: list[LinkRecord]
+    ``nodes`` rows are junctions, reservoirs and tanks: ``elevation`` is the
+    head for reservoirs, ``base_demand`` the total over all demand categories
+    (0 for sources).  ``links`` rows are pipes, pumps and valves.
+    """
+
+    nodes: np.recarray  # NODE_DTYPE
+    links: np.recarray  # LINK_DTYPE
     bbox: tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
     warnings: list[str] = field(default_factory=list)
 
@@ -143,22 +135,18 @@ class WaterNetwork:
 
     @cached_property
     def node_index(self) -> dict[str, int]:
-        return {node.id: i for i, node in enumerate(self.nodes)}
+        return dict(zip(self.nodes.id.tolist(), range(len(self.nodes))))
 
     def coordinates(self) -> np.ndarray:
         """Node positions as an (N, 2) float array, file order."""
-        return np.array([n.position for n in self.nodes], dtype=np.float64)
+        return self.nodes.position.copy()
 
     def demands(self) -> np.ndarray:
-        return np.array([n.base_demand for n in self.nodes], dtype=np.float64)
+        return self.nodes.base_demand.copy()
 
     def kind_counts(self) -> dict[str, int]:
-        counts = {k: 0 for k in ("junction", "reservoir", "tank", "pipe", "pump", "valve")}
-        for node in self.nodes:
-            counts[node.kind] += 1
-        for link in self.links:
-            counts[link.kind] += 1
-        return counts
+        counts = Counter(self.nodes.kind.tolist() + self.links.kind.tolist())
+        return {k: counts[k] for k in ("junction", "reservoir", "tank", "pipe", "pump", "valve")}
 
     def summary(self) -> dict:
         c = self.kind_counts()
@@ -194,7 +182,8 @@ def _need(section: str, row: InpRow, count: int) -> None:
 def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwork:
     """Materialize a validated WaterNetwork from a token document.
 
-    Node and link order follows the file.  Rows in [DEMANDS] add to the
+    Node and link order follows the file, and each link's endpoints are
+    resolved to node row indices here.  Rows in [DEMANDS] add to the
     junction's base demand (demand categories sum).  Self-loops are rejected;
     every node must have a coordinate entry.  Numbers must be finite, and so
     must every coordinate after scaling.
@@ -218,23 +207,23 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     kind_of = {"JUNCTIONS": "junction", "RESERVOIRS": "reservoir", "TANKS": "tank",
                "PIPES": "pipe", "PUMPS": "pump", "VALVES": "valve"}
     nodes: list[tuple[str, str, float, float, int]] = []  # id, kind, elev, demand, line
-    node_lines: dict[str, int] = {}
+    node_row: dict[str, int] = {}
     for section in doc.sections:
         if section not in NODE_SECTIONS:
             continue
         for row in doc.rows(section):
             _need(section, row, 2)
             node_id = row.tokens[0]
-            if node_id in node_lines:
+            if node_id in node_row:
                 raise DuplicateId(f"node {node_id!r} defined twice")
             elevation = _float(section, row, 1, "elevation/head")
             demand = 0.0
             if section == "JUNCTIONS" and len(row.tokens) >= 3:
                 demand = _float(section, row, 2, "demand")
+            node_row[node_id] = len(nodes)
             nodes.append((node_id, kind_of[section], elevation, demand, row.line))
-            node_lines[node_id] = row.line
 
-    links: list[LinkRecord] = []
+    links: list[tuple[str, str, int, int, float, float]] = []
     link_lines: dict[str, int] = {}
     for section in doc.sections:
         if section not in LINK_SECTIONS:
@@ -245,17 +234,17 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
             if link_id in link_lines:
                 raise DuplicateId(f"link {link_id!r} defined twice")
             for endpoint in (from_node, to_node):
-                if endpoint not in node_lines:
+                if endpoint not in node_row:
                     raise DanglingEndpoint(link_id, endpoint)
             if from_node == to_node:
                 raise SelfLoop(link_id)
-            length = diameter = None
+            length = diameter = math.nan
             if section == "PIPES":
                 length = _float(section, row, 3, "length")
                 diameter = _float(section, row, 4, "diameter")
                 if length <= 0 or diameter <= 0:
                     raise MalformedRow(section, row.line, "pipe length and diameter must be positive")
-            links.append(LinkRecord(link_id, kind_of[section], from_node, to_node, length, diameter))
+            links.append((link_id, kind_of[section], node_row[from_node], node_row[to_node], length, diameter))
             link_lines[link_id] = row.line
 
     # Extra demand categories accumulate onto the junction's base demand.
@@ -272,7 +261,7 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     for row in doc.rows("COORDINATES"):
         _need("COORDINATES", row, 3)
         node_id = row.tokens[0]
-        if node_id not in node_lines:
+        if node_id not in node_row:
             warnings.append(f"coordinate entry for unknown node {node_id!r} ignored")
             continue
         x = _float("COORDINATES", row, 1, "x") * coordinate_scale
@@ -285,19 +274,20 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     if not nodes:
         raise MissingSection("node sections contain no rows")
 
-    records: list[NodeRecord] = []
+    rows = []
     for node_id, kind, elevation, demand, line in nodes:
         if node_id not in positions:
             raise MissingCoordinates(node_id)
         total = demand + extra_demand.get(node_id, 0.0)
         if total < 0:
             raise MalformedRow("JUNCTIONS", line, f"junction {node_id!r} has negative total demand {total}")
-        records.append(NodeRecord(node_id, kind, elevation, total, positions[node_id]))
+        rows.append((node_id, kind, elevation, total, positions[node_id]))
 
-    xs = [r.position[0] for r in records]
-    ys = [r.position[1] for r in records]
+    table = np.array(rows, dtype=NODE_DTYPE).view(np.recarray)
+    xs, ys = table.position.T.tolist()  # Python min/max: the first of 0.0 and -0.0 wins
     bbox = (min(xs), min(ys), max(xs), max(ys))
-    return WaterNetwork(nodes=records, links=links, bbox=bbox, warnings=warnings)
+    return WaterNetwork(nodes=table, links=np.array(links, dtype=LINK_DTYPE).view(np.recarray),
+                        bbox=bbox, warnings=warnings)
 
 
 def read_inp(path: str | Path, coordinate_scale: float = 1.0) -> WaterNetwork:

@@ -44,6 +44,8 @@ class RadioConfig:
     def __post_init__(self):
         if not (7 <= self.sf_min <= self.sf_max <= 12):
             raise ValueError(f"SF range must sit inside 7..12, got {self.sf_min}..{self.sf_max}")
+        if self.bandwidth_hz <= 0 or self.preamble_symbols < 0:
+            raise ValueError("bandwidth_hz must be positive and preamble_symbols nonnegative")
         if not 1 <= self.payload_bytes <= 222:
             raise ValueError(f"payload_bytes must be in [1, 222], got {self.payload_bytes}")
         if self.coding_rate_denominator not in (1, 2, 3, 4):
@@ -76,6 +78,12 @@ class EnergyModel:
     tx_current_a: dict[float, float] = field(default_factory=lambda: {14.0: 0.028})
     initial_battery_j: float = 10_000.0
     rx_energy_per_uplink_j: float = 0.0
+
+    def __post_init__(self):
+        if not all(0 < value < math.inf for value in (self.supply_voltage_v, *self.tx_current_a.values())):
+            raise ValueError("supply_voltage_v and every tx_current_a value must be finite and positive")
+        if not (0 <= self.initial_battery_j < math.inf and 0 <= self.rx_energy_per_uplink_j < math.inf):
+            raise ValueError("initial_battery_j and rx_energy_per_uplink_j must be finite and nonnegative")
 
     def current_for(self, tx_power_dbm: float) -> float:
         try:
@@ -119,6 +127,12 @@ class PropagationModel:
     ref_distance_m: float = 1000.0
     exponent: float = 2.32
     shadowing_sigma_db: float = 0.0
+
+    def __post_init__(self):
+        values = (self.ref_loss_db, self.ref_distance_m, self.exponent, self.shadowing_sigma_db)
+        if not all(map(math.isfinite, values)) or self.ref_distance_m <= 0 or self.shadowing_sigma_db < 0:
+            raise ValueError("propagation parameters must be finite, ref_distance_m positive "
+                             "and shadowing_sigma_db nonnegative")
 
 
 def path_loss_db(distance_m, model: PropagationModel = PropagationModel()):

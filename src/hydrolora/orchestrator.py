@@ -126,9 +126,10 @@ def _fits(value, annotation: str) -> bool:
 
 
 def _from_json(dataclass_type, data: dict, prefix: str = "") -> dict:
-    """The fields of ``data`` for ``dataclass_type``, arrays made tuples and the
-    keys and values of objects made numbers.  Raises ConfigError naming the
-    first field whose JSON type does not fit; unknown names pass through."""
+    """The fields of ``data`` for ``dataclass_type``, arrays made tuples and
+    float fields, and the keys and values of objects, made numbers.  Raises
+    ConfigError naming the first field whose JSON type does not fit; unknown
+    names pass through."""
     annotations = {f.name: f.type for f in dataclasses.fields(dataclass_type)}
     fields = dict(data)
     for name, value in data.items():
@@ -137,6 +138,8 @@ def _from_json(dataclass_type, data: dict, prefix: str = "") -> dict:
             raise ConfigError(f"{prefix}{name} must be JSON of type {annotation}, got {type(value).__name__}")
         if annotation.startswith("tuple"):
             fields[name] = tuple(value)
+        elif annotation.startswith("float") and value is not None:
+            fields[name] = float(value)
         elif annotation.startswith("dict"):
             key_type, value_type = ({"int": int, "float": float}[kind] for kind in annotation[5:-1].split(", "))
             fields[name] = {key_type(k): value_type(v) for k, v in value.items()}

@@ -69,12 +69,12 @@ class TrafficModel:
     def __post_init__(self):
         if self.mode not in ("poisson", "periodic"):
             raise ValueError(f"unknown traffic mode {self.mode!r}")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self.jitter_s < 0:
-            raise ValueError("jitter_s must be nonnegative")
-        if self.first_offset_s is not None and self.first_offset_s < 0:
-            raise ValueError("first_offset_s must be nonnegative")
+        if not 0 < self.period_s < math.inf:
+            raise ValueError("period_s must be finite and positive")
+        if not 0 <= self.jitter_s < math.inf:
+            raise ValueError("jitter_s must be finite and nonnegative")
+        if self.first_offset_s is not None and not 0 <= self.first_offset_s < math.inf:
+            raise ValueError("first_offset_s must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def simulate(
     # Energy: per-device count times constant per-uplink cost, exact.
     energy_j = sent * uplink_j
     devices = np.rec.fromarrays(
-        [np.array([node.id for node in net.nodes], dtype=object), sfs, marginal, best_rssi, sent, *counts,
+        [net.nodes.id, sfs, marginal, best_rssi, sent, *counts,
          energy_j, energy_model.initial_battery_j - energy_j],
         names="id,sf,coverage_marginal,best_rssi_dbm,sent,delivered,lost_no_coverage,lost_collision,"
               "energy_j,battery_j")

@@ -19,10 +19,7 @@ import pytest
 
 from hydrolora import (
     EnergyModel,
-    LinkRecord,
-    NodeRecord,
     RadioConfig,
-    WaterNetwork,
     adr_assign,
     airtime,
     build_adjacency,
@@ -38,6 +35,7 @@ from hydrolora import (
 from hydrolora.cli import main
 from hydrolora.placement import degree_centrality_deploy, regular_grid_deploy
 from hydrolora.rng import substream
+from tests.conftest import make_network
 from tests.test_lora import oracle_airtime
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -152,16 +150,9 @@ def test_criterion_4_airtime_oracle():
 
 def _random_water_network(rng, n):
     """Junction-only network with random edges, no geometry subtleties."""
-    nodes = [NodeRecord(f"N{i}", "junction", 0.0, 0.0, (float(i), 0.0)) for i in range(n)]
-    links = []
     p = float(rng.uniform(0.01, 0.1))
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                links.append(LinkRecord(f"L{idx}", "pipe", f"N{i}", f"N{j}", 1.0, 1.0))
-                idx += 1
-    return WaterNetwork(nodes=nodes, links=links, bbox=(0.0, 0.0, float(n), 0.0))
+    pipes = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return make_network(n, pipes)
 
 
 def test_criterion_5_centrality_correctness():
@@ -173,10 +164,8 @@ def test_criterion_5_centrality_correctness():
         cv = degree_centrality(build_adjacency(net))
 
         dense = np.zeros((n, n), dtype=np.int64)
-        index = net.node_index
         for link in net.links:
-            i, j = index[link.from_node], index[link.to_node]
-            dense[i, j] = dense[j, i] = 1
+            dense[link.from_index, link.to_index] = dense[link.to_index, link.from_index] = 1
         degrees = dense.sum(axis=1)
         assert np.array_equal(cv.degree, degrees), trial
         assert np.array_equal(cv.centrality, degrees / (n - 1)), trial
@@ -190,7 +179,7 @@ def test_criterion_6_closed_form_single_link():
             "[PIPES]\n P1 D1 D2 10 0.3 130\n"
             "[COORDINATES]\n D1 0 0\n D2 200000 200000\n")
     net = build_network(tokenize_inp(text))
-    net.nodes, net.links = net.nodes[:1], []
+    net.nodes, net.links = net.nodes[:1], net.links[:0]
     cfg, model = RadioConfig(), EnergyModel()
     per_tx = model.tx_energy_j(cfg.tx_power_dbm, airtime(7, cfg))
 

@@ -6,25 +6,34 @@ the calls the orchestrator makes through that module global, so every such
 name must stay a callable global that the orchestrator's code reads.  Its
 ``simulate`` wrapper also reads the result: per-device rows, SFs, totals,
 energy and the link budget, checked against its own ``lora`` probes.
+
+``perfbench/workloads.py`` writes the benchmark's inputs: its hydraulic
+series reads the network's node and link ids and base demands.
 """
 
 import dis
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
 import hydrolora.orchestrator as orchestrator
-from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig
-from tests.conftest import make_network
+from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig, read_inp
+from tests.conftest import CHAIN_INP, make_network
 
-REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """A module of ``perfbench/`` loaded by path, as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_replay():
-    spec = importlib.util.spec_from_file_location("perfbench_replay", REPLAY)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
-    return replay
+    return load_perfbench("replay")
 
 
 def globals_loaded(code: types.CodeType) -> set[str]:
@@ -58,3 +67,22 @@ def test_replay_checks_pass_on_a_simulation(monkeypatch):
                                    propagation=PropagationModel(shadowing_sigma_db=6.0))
     assert result.features.sent > 0 and len(set(result.features.sf_per_device.tolist())) > 1
     assert [sim["problems"] for sim in sims] == [[]]
+
+
+def test_workload_generator_reads_the_network_tables(tmp_path):
+    workloads = load_perfbench("workloads")
+    inp = tmp_path / "chain.inp"
+    inp.write_text(CHAIN_INP)
+    series = workloads.hydraulic_series(inp, seed=4)
+    steps = (workloads.HYDRAULIC_STEPS,)
+    assert series.timestamps.shape == steps
+    assert list(series.pressure) == list(series.demand) == ["R1", "J1", "J2"]
+    assert list(series.flow) == ["P1", "P2"]
+    for column in (series.pressure, series.demand, series.flow):
+        assert all(values.shape == steps for values in column.values())
+    # Demands follow the base demands (R1 0, J1 1, J2 2) under one diurnal curve.
+    assert not series.demand["R1"].any()
+    assert series.demand["J2"].tolist() == (2.0 * series.demand["J1"]).tolist()
+    assert series.node_flow.shape == (3,)
+    counters = load_replay().COUNTERS["read_inp"](read_inp(inp))
+    assert counters == {"inp.nodes": 3, "inp.links": 2}

@@ -21,10 +21,9 @@ def random_net(rng, n, p):
 def brute_force_degrees(net):
     """Dense 0/1 matrix scan over all node pairs, independent of Adjacency."""
     n = net.node_count
-    index = {node.id: i for i, node in enumerate(net.nodes)}
     dense = np.zeros((n, n), dtype=np.int64)
     for link in net.links:
-        i, j = index[link.from_node], index[link.to_node]
+        i, j = link.from_index, link.to_index
         dense[i, j] = 1
         dense[j, i] = 1
     np.fill_diagonal(dense, 0)

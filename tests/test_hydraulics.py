@@ -79,6 +79,16 @@ class TestIngest:
         with pytest.raises(SchemaMismatch, match=f"^{link_csv}, line 3: "):
             ingest_hydraulic_csv(node_csv, link_csv, two_node_net)
 
+    @pytest.mark.parametrize("which", ["nodes", "links"])
+    def test_non_utf8_file_is_schema_mismatch(self, tmp_path, two_node_net, which):
+        # Found by the ingest fuzzer: a byte that is not UTF-8 in the first
+        # block of a file escaped as UnicodeDecodeError while reading the header.
+        node_csv, link_csv = write_csvs(tmp_path, ["0,J1,50,5"], ["0,P1,10"])
+        bad = node_csv if which == "nodes" else link_csv
+        bad.write_bytes(bad.read_bytes() + b"\x80\n")
+        with pytest.raises(SchemaMismatch, match=f"^{bad}: not valid UTF-8"):
+            ingest_hydraulic_csv(node_csv, link_csv, two_node_net)
+
     def test_inconsistent_grid_rejected(self, tmp_path, two_node_net):
         node_csv, link_csv = write_csvs(
             tmp_path, ["0,J1,50,5", "3600,J1,49,5", "0,J2,48,2", "7200,J2,47,2"], ["0,P1,10"])

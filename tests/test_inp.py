@@ -1,8 +1,12 @@
 """Tokenizer and network-builder tests."""
 
+import json
+import math
+
 import pytest
 
 from hydrolora import build_network, read_inp, tokenize_inp
+from hydrolora.cli import main
 from hydrolora.errors import (
     ConfigError,
     DanglingEndpoint,
@@ -15,6 +19,7 @@ from hydrolora.errors import (
     UndecodableText,
 )
 from tests.conftest import CHAIN_INP, TWO_NODE_INP
+from tests.test_csv_format import QUOTED_INP
 
 # Four sections, mixed-case headers, inline comments.  Expected token lists
 # were derived by hand from the EPANET 2.x grammar and frozen.
@@ -197,7 +202,7 @@ class TestBuildNetwork:
         net = build_network(tokenize_inp(text))
         kinds = [link.kind for link in net.links]
         assert kinds == ["pipe", "pump", "valve"]
-        assert net.links[1].length is None  # pipes only
+        assert math.isnan(net.links[1].length) and math.isnan(net.links[1].diameter)  # pipes only
 
     def test_tank_parsed_as_source_kind(self):
         text = (
@@ -215,8 +220,10 @@ class TestDeterminism:
     def test_identical_bytes_identical_network(self):
         a = build_network(tokenize_inp(CHAIN_INP))
         b = build_network(tokenize_inp(CHAIN_INP))
-        assert a.nodes == b.nodes
-        assert a.links == b.links
+        for table_a, table_b in ((a.nodes, b.nodes), (a.links, b.links)):
+            assert table_a.dtype == table_b.dtype
+            for name in table_a.dtype.names:
+                assert table_a[name].tolist() == table_b[name].tolist(), name
         assert a.bbox == b.bbox
 
     def test_read_inp_roundtrip(self, tmp_path):
@@ -224,3 +231,31 @@ class TestDeterminism:
         path.write_text(CHAIN_INP)
         net = read_inp(path)
         assert [n.id for n in net.nodes] == ["R1", "J1", "J2"]
+
+
+class TestTables:
+    @pytest.mark.parametrize("text", [CHAIN_INP, QUOTED_INP], ids=["chain", "quoted"])
+    def test_endpoint_indices_map_back_to_row_ids(self, text):
+        doc = tokenize_inp(text)
+        net = build_network(doc)
+        rows = [row.tokens for row in doc.rows("PIPES")]
+        assert net.links.id.tolist() == [tokens[0] for tokens in rows]
+        assert net.nodes.id[net.links.from_index].tolist() == [tokens[1] for tokens in rows]
+        assert net.nodes.id[net.links.to_index].tolist() == [tokens[2] for tokens in rows]
+
+    def test_columns(self, chain_net):
+        assert chain_net.nodes.kind.tolist() == ["reservoir", "junction", "junction"]
+        assert chain_net.nodes.base_demand.tolist() == [0.0, 1.0, 2.0]
+        assert chain_net.coordinates().tolist() == [[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]]
+        assert chain_net.links.length.tolist() == [100.0, 100.0]
+        assert chain_net.links.from_index.dtype == chain_net.links.to_index.dtype == "int64"
+
+    def test_bbox_keeps_the_first_of_zero_and_negative_zero(self, tmp_path, capsys):
+        # Python's min/max keep the first of equal values; numpy's min of
+        # [0.0, -0.0] would give -0.0 and change the bytes written.
+        path = tmp_path / "zeros.inp"
+        path.write_text("[JUNCTIONS]\n J1 1\n J2 1\n J3 1\n[PIPES]\n P1 J1 J2 1 1\n P2 J2 J3 1 1\n"
+                        "[COORDINATES]\n J1 0 -0\n J2 -0 0\n J3 3 5\n")
+        assert main(["parse", str(path)]) == 0
+        bbox = json.loads(capsys.readouterr().out)["bbox"]
+        assert [repr(value) for value in bbox] == ["0.0", "-0.0", "3.0", "5.0"]

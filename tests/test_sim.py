@@ -32,7 +32,7 @@ def single_device_net():
     )
     net = build_network(tokenize_inp(text))
     net.nodes = net.nodes[:1]  # lone device at the origin
-    net.links = []
+    net.links = net.links[:0]
     return net
 
 
