@@ -15,9 +15,11 @@ must be a finite number.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -59,102 +61,170 @@ class FlowWeight:
     weight: np.ndarray
 
 
-def _read_long_csv(path, required: list[str]) -> dict[str, np.ndarray]:
-    """Read a long-format CSV into one array per id, ids in first-seen order.
+def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
+    """The header and the data fields, row after row, of CSV text that
+    ``csv.reader`` splits on "\n" and "," alone, with blank lines skipped.
 
-    Each array row holds the numeric columns of ``required`` in order, then
-    its line number.  A short row or a field that is not a finite number
-    raises SchemaMismatch naming the file and line.
+    None when that does not hold or cannot be told cheaply: text with a
+    '"', "\r" or NUL, a line longer than csv's field size limit, or a data
+    row whose width differs from the header's.  ``str.splitlines`` would
+    split on more characters than ``csv.reader`` does.
+    """
+    if not text or '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text.split("\n")
+    header, body = (lines[0].split(",") if lines[0] else []), list(filter(None, lines[1:]))
+    if max(map(len, lines)) > csv.field_size_limit() or set(map(str.count, body, repeat(","))) - {len(header) - 1}:
+        return None
+    return header, ",".join(body).split(",") if body else []
+
+
+def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """Read a long-format CSV column by column.
+
+    Returns the ids in first-seen order, each row's index into them, and one
+    float array per numeric column of ``required`` in order.  Fields are
+    split as ``csv.reader`` splits them and numbers parsed by ``float``.  A
+    file this does not accept raises the SchemaMismatch of ``_first_fault``.
+    """
+    with open(path, "rb") as handle:
+        try:
+            text = handle.read().decode("utf-8")
+        except UnicodeDecodeError:
+            raise _first_fault(path, required) from None
+    plain = _split_plain(text)
+    if plain is None:
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error:
+            raise _first_fault(path, required) from None
+        header, body = (rows[0] if rows else []), [row for row in rows[1:] if row]
+        width = min(map(len, body), default=len(header))  # rows may be wider than the columns read
+        flat = [field for row in body for field in row[:width]]
+    else:
+        header, flat = plain
+        width = len(header)
+    if any(col not in header for col in required):
+        raise _first_fault(path, required) from None
+    id_pos = header.index(required[1])
+    value_pos = [header.index(col) for col in required if col != required[1]]
+    if max(id_pos, *value_pos) >= width:  # a row too short for the columns read
+        raise _first_fault(path, required) from None
+
+    ids = flat[id_pos::width]
+    try:
+        columns = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
+    except ValueError:
+        raise _first_fault(path, required) from None
+    if not all(np.isfinite(column).all() for column in columns):
+        raise _first_fault(path, required) from None
+    rank = {entity: i for i, entity in enumerate(dict.fromkeys(ids))}
+    return list(rank), np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)), columns
+
+
+def _first_fault(path, required: list[str]) -> SchemaMismatch:
+    """Re-read a file that ``_read_long_csv`` did not accept, row by row, and
+    return the SchemaMismatch of its first fault.
+
+    The checks run in the order of a row-by-row read: the header, then each
+    row's width, numbers and CSV syntax (UTF-8 is decoded in blocks, so a bad
+    byte names no line), then, for the first id in first-seen order that has
+    one, the line of its first non-finite value.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None:
-                raise SchemaMismatch(f"{path}: empty file, header row required")
+                return SchemaMismatch(f"{path}: empty file, header row required")
             missing = [col for col in required if col not in header]
             if missing:
-                raise SchemaMismatch(f"{path}: missing required column(s) {missing}")
+                return SchemaMismatch(f"{path}: missing required column(s) {missing}")
             id_pos = header.index(required[1])
             value_pos = [header.index(col) for col in required if col != required[1]]
-            rows: dict[str, list[list[float]]] = {}
+            non_finite: dict[str, int | None] = {}
             for row in reader:
                 if row:
                     entity = row[id_pos]
                     values = [float(row[p]) for p in value_pos]
-                    values.append(reader.line_num)
-                    if entity in rows:
-                        rows[entity].append(values)
-                    else:
-                        rows[entity] = [values]
+                    if non_finite.setdefault(entity, None) is None and not all(map(math.isfinite, values)):
+                        non_finite[entity] = reader.line_num
         except IndexError:
-            raise SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), "
-                                 f"header has {len(header)}") from None
-        except UnicodeDecodeError as exc:  # text is decoded in blocks, so no line number
-            raise SchemaMismatch(f"{path}: not valid UTF-8: {exc}") from None
+            return SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), header has {len(header)}")
+        except UnicodeDecodeError as exc:
+            return SchemaMismatch(f"{path}: not valid UTF-8: {exc}")
         except (ValueError, csv.Error) as exc:
-            raise SchemaMismatch(f"{path}, line {reader.line_num}: {exc}") from None
-    tables = {}
-    for entity, values in rows.items():
-        table = tables[entity] = np.array(values)
-        if not np.isfinite(table).all():
-            line = int(table[~np.isfinite(table).all(axis=1), -1][0])
-            raise SchemaMismatch(f"{path}, line {line}: non-finite value for {entity!r}")
-    return tables
+            return SchemaMismatch(f"{path}, line {reader.line_num}: {exc}")
+    for entity, line in non_finite.items():
+        if line is not None:
+            return SchemaMismatch(f"{path}, line {line}: non-finite value for {entity!r}")
+    raise AssertionError(f"{path}: the row-by-row read accepts a file the columnar read rejected")
 
 
-def _series_grid(path, tables) -> np.ndarray:
-    """Validate a shared strictly-increasing time grid across all series."""
+def _series_grid(path, entities: list[str], codes: np.ndarray, columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Group each column into an (ids x steps) matrix, ids in first-seen order
+    and each id's rows in file order, after checking that every id has the
+    same strictly increasing times.  Column 0 holds the times."""
+    order = np.argsort(codes, kind="stable")
+    columns = [column[order] for column in columns]
+    counts = np.bincount(codes, minlength=len(entities))
+    steps = int(counts[0]) if len(entities) else 0
+    if (counts == steps).all():
+        matrices = [column.reshape(len(entities), steps) for column in columns]
+        times = matrices[0]
+        if (np.diff(times, axis=1) > 0).all() and (times == times[:1]).all():
+            return matrices
+    # Name the first id, in first-seen order, whose times fail either check.
     grid = None
-    for entity, table in tables.items():
-        times = table[:, 0]
+    for entity, times in zip(entities, np.split(columns[0], np.cumsum(counts)[:-1])):
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise NonMonotoneTimestamps(f"{path}: timestamps for {entity!r} are not strictly increasing")
         if grid is None:
             grid = times
         elif len(times) != len(grid) or not np.array_equal(times, grid):
             raise SchemaMismatch(f"{path}: series {entity!r} does not share the common timestamp grid")
-    return grid if grid is not None else np.array([], dtype=np.float64)
+    raise AssertionError(f"{path}: the per-id grid checks accept what the matrix checks rejected")
 
 
 def ingest_hydraulic_csv(node_csv, link_csv, net: WaterNetwork) -> HydraulicSeries:
     """Load externally simulated hydraulic results for a network.
 
     Every id must resolve against the network.  Links absent from the flow
-    file contribute zero flow to their endpoints.
+    file contribute zero flow to their endpoints.  The series values are
+    rows of one (ids x steps) matrix per quantity.
     """
-    node_rows = _read_long_csv(node_csv, ["time_s", "node_id", "pressure", "demand"])
-    link_rows = _read_long_csv(link_csv, ["time_s", "link_id", "flow"])
+    node_ids, node_codes, node_columns = _read_long_csv(node_csv, ["time_s", "node_id", "pressure", "demand"])
+    link_ids, link_codes, link_columns = _read_long_csv(link_csv, ["time_s", "link_id", "flow"])
 
-    for entity in node_rows:
+    for entity in node_ids:
         if entity not in net.node_index:
             raise UnknownId(f"node {entity!r} not in network")
     link_row = dict(zip(net.links.id.tolist(), range(len(net.links))))
-    for entity in link_rows:
+    for entity in link_ids:
         if entity not in link_row:
             raise UnknownId(f"link {entity!r} not in network")
 
-    node_grid = _series_grid(node_csv, node_rows)
-    link_grid = _series_grid(link_csv, link_rows)
+    node_times, pressure, demand = _series_grid(node_csv, node_ids, node_codes, node_columns)
+    link_times, flow = _series_grid(link_csv, link_ids, link_codes, link_columns)
+    node_grid = node_times[0] if node_ids else np.array([], dtype=np.float64)
+    link_grid = link_times[0] if link_ids else np.array([], dtype=np.float64)
     if len(node_grid) and len(link_grid) and not (
         len(node_grid) == len(link_grid) and np.array_equal(node_grid, link_grid)
     ):
         raise SchemaMismatch("node and link files do not share one timestamp grid")
     grid = node_grid if len(node_grid) else link_grid
 
-    pressure = {e: table[:, 1] for e, table in node_rows.items()}
-    demand = {e: table[:, 2] for e, table in node_rows.items()}
-    flow = {e: table[:, 1] for e, table in link_rows.items()}
-
     # Each link's mean absolute flow goes to its from node, then its to node,
     # link by link in flow-file order.
-    links = net.links[[link_row[link_id] for link_id in flow]]
-    mean_abs = [float(np.mean(np.abs(series))) for series in flow.values()]
+    links = net.links[[link_row[link_id] for link_id in link_ids]]
+    mean_abs = np.abs(flow).mean(axis=1) if link_ids else np.zeros(0)
     node_flow = np.zeros(net.node_count, dtype=np.float64)
     np.add.at(node_flow, np.stack([links.from_index, links.to_index], axis=1).ravel(), np.repeat(mean_abs, 2))
     node_flow /= 2.0
 
-    return HydraulicSeries(timestamps=grid, pressure=pressure, demand=demand, flow=flow, node_flow=node_flow)
+    return HydraulicSeries(timestamps=grid, pressure=dict(zip(node_ids, pressure)),
+                           demand=dict(zip(node_ids, demand)), flow=dict(zip(link_ids, flow)),
+                           node_flow=node_flow)
 
 
 def export_hydraulic_csv(series: HydraulicSeries, node_csv, link_csv) -> None:

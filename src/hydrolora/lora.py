@@ -54,6 +54,11 @@ class RadioConfig:
             raise ValueError("duty_cycle_limit must be in (0, 1]")
         if not self.channels_hz:
             raise ValueError("at least one channel required")
+        if any(hz <= 0 for hz in self.channels_hz):
+            raise ValueError(f"every channels_hz entry must be positive, got {list(self.channels_hz)}")
+        for name in ("tx_power_dbm", "adr_margin_db", "capture_threshold_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for sf in self.sfs():
             if not math.isfinite(self.sensitivity_dbm.get(sf, math.nan)):
                 raise ValueError(f"sensitivity_dbm needs a finite entry for SF{sf}")

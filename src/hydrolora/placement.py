@@ -103,6 +103,18 @@ def _farthest_point_seeds(xy: np.ndarray, weights: np.ndarray, k: int) -> list[i
     return seeds
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between two point sets, as
+    ``dx * dx + dy * dy``: the bits of ``((a[:, None] - b[None]) ** 2).sum(axis=2)``
+    without its (len(a), len(b), 2) temporaries."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def degree_centrality_deploy(
     k: int,
     node_xy: np.ndarray,
@@ -139,17 +151,19 @@ def degree_centrality_deploy(
     centers = node_xy[_farthest_point_seeds(node_xy, weights, k)].copy()
     previous_objective = math.inf
     for _ in range(max_iter):
-        sq_dist = ((node_xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        sq_dist = _sq_dist(node_xy, centers)
         assignment = sq_dist.argmin(axis=1)
         nearest_sq = sq_dist[np.arange(n), assignment]
 
+        counts = np.bincount(assignment, minlength=k)
         for cluster in range(k):
-            if not np.any(assignment == cluster):
+            if counts[cluster] == 0:
                 relocate = int((weights * nearest_sq).argmax())
                 centers[cluster] = node_xy[relocate]
-                sq_dist[:, cluster] = ((node_xy - centers[cluster]) ** 2).sum(axis=1)
+                sq_dist[:, cluster] = _sq_dist(node_xy, centers[cluster:cluster + 1])[:, 0]
                 assignment = sq_dist.argmin(axis=1)
                 nearest_sq = sq_dist[np.arange(n), assignment]
+                counts = np.bincount(assignment, minlength=k)
 
         objective = float((weights * nearest_sq).sum())
         if objective > previous_objective * (1 + 1e-9):
@@ -170,8 +184,7 @@ def degree_centrality_deploy(
             break
 
     if snap_to_nodes:
-        sq_dist = ((centers[:, None, :] - node_xy[None, :, :]) ** 2).sum(axis=2)
-        centers = node_xy[sq_dist.argmin(axis=1)].copy()
+        centers = node_xy[_sq_dist(centers, node_xy).argmin(axis=1)].copy()
 
     positions = [(float(x), float(y)) for x, y in centers]
     return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=positions,

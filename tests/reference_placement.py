@@ -1,20 +1,28 @@
-"""Reference oracle: the dense greedy max-coverage placement.
+"""Reference oracles: the dense greedy max-coverage placement and the
+k-means placement with its N x K x 2 distance temporary.
 
-This is ``greedy_coverage_deploy`` as it stood before the lazy greedy over
+``greedy_coverage_deploy`` is as it stood before the lazy greedy over
 radius neighbour lists in ``hydrolora.placement`` replaced it, less the
 ``seed`` argument that only labelled its provenance: an N x N
 squared-distance matrix, an N x N ``within`` mask, and one matrix-vector
 product per pick.  Its gains are BLAS sums, whose rounding depends on the
 kernel, so ``test_placement_oracle.py`` compares against it only on weights
 whose sums are exact in any order.
+
+``degree_centrality_deploy`` is kept verbatim from before its Lloyd steps
+computed distances as ``dx * dx + dy * dy`` on (N, K) arrays and counted
+cluster sizes with one ``bincount``; the shipped one must match it bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hydrolora.errors import AllZeroWeights, InvalidK, KExceedsN
-from hydrolora.placement import GREEDY_COVERAGE, GatewaySet
+from hydrolora.placement import DEGREE_CENTRALITY, GREEDY_COVERAGE, GatewaySet, _farthest_point_seeds
 
 
 def greedy_coverage_deploy(
@@ -47,3 +55,78 @@ def greedy_coverage_deploy(
     positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
     return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
                       provenance={"radius_m": radius_m})
+
+
+def degree_centrality_deploy(
+    k: int,
+    node_xy: np.ndarray,
+    weights: np.ndarray,
+    *,
+    max_iter: int = 100,
+    snap_to_nodes: bool = False,
+) -> GatewaySet:
+    """Weighted k-means over node coordinates; centers become gateways.
+
+    Initialization is the deterministic weighted farthest-point rule, Lloyd
+    iterations assign nodes to the nearest center and recompute centers as
+    weight-weighted centroids, and the loop stops when the largest center
+    displacement drops below 1e-6 of the bbox diagonal.  An emptied cluster
+    is reseeded at the node with the largest weight * squared-distance to
+    its current center.  Nothing here is random.
+    """
+    node_xy = np.asarray(node_xy, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    n = len(node_xy)
+    if not isinstance(k, int) or k < 1:
+        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
+    if k > n:
+        raise KExceedsN(f"K={k} exceeds node count {n}")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    if weights.sum() <= 0:
+        raise AllZeroWeights("placement weights sum to zero")
+
+    diag = math.hypot(node_xy[:, 0].max() - node_xy[:, 0].min(),
+                      node_xy[:, 1].max() - node_xy[:, 1].min())
+    tol = 1e-6 * diag
+
+    centers = node_xy[_farthest_point_seeds(node_xy, weights, k)].copy()
+    previous_objective = math.inf
+    for _ in range(max_iter):
+        sq_dist = ((node_xy[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assignment = sq_dist.argmin(axis=1)
+        nearest_sq = sq_dist[np.arange(n), assignment]
+
+        for cluster in range(k):
+            if not np.any(assignment == cluster):
+                relocate = int((weights * nearest_sq).argmax())
+                centers[cluster] = node_xy[relocate]
+                sq_dist[:, cluster] = ((node_xy - centers[cluster]) ** 2).sum(axis=1)
+                assignment = sq_dist.argmin(axis=1)
+                nearest_sq = sq_dist[np.arange(n), assignment]
+
+        objective = float((weights * nearest_sq).sum())
+        if objective > previous_objective * (1 + 1e-9):
+            raise RuntimeError("k-means objective increased; numerical inconsistency")
+        previous_objective = objective
+
+        new_centers = centers.copy()
+        for cluster in range(k):
+            members = assignment == cluster
+            cluster_weight = weights[members].sum()
+            if cluster_weight > 0:
+                new_centers[cluster] = (weights[members, None] * node_xy[members]).sum(axis=0) / cluster_weight
+            elif members.any():
+                new_centers[cluster] = node_xy[members].mean(axis=0)  # zero-weight cluster
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+
+    if snap_to_nodes:
+        sq_dist = ((centers[:, None, :] - node_xy[None, :, :]) ** 2).sum(axis=2)
+        centers = node_xy[sq_dist.argmin(axis=1)].copy()
+
+    positions = [(float(x), float(y)) for x, y in centers]
+    return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=positions,
+                      provenance={"snap_to_nodes": snap_to_nodes, "objective": previous_objective})

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -165,6 +166,19 @@ class TestPlace:
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "regular_grid"
 
+    def test_grid_with_malformed_hydraulic_csv_is_schema_mismatch(self, capsys, tmp_path):
+        """The grid ignores the weights, but ``place`` still ingests and checks the CSVs."""
+        inp = tmp_path / "chain.inp"
+        inp.write_text(CHAIN_INP)
+        nodes, links = tmp_path / "nodes.csv", tmp_path / "links.csv"
+        nodes.write_text("time_s,node_id,pressure,demand\n0,J1,50,1\n")
+        links.write_text("time_s,link_id,flow\n0,P1,10\n0,P2\n")
+        argv = ["place", str(inp), "--k", "2", "--strategy", "grid", "--hydraulic", str(nodes), str(links)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: SchemaMismatch: {links}, line 3: 2 field(s), header has 3\n"
+
     def test_centrality_to_file(self, inp_file, tmp_path):
         out = tmp_path / "gws.csv"
         assert main(["place", str(inp_file), "--k", "2", "--strategy", "centrality",
@@ -230,6 +244,18 @@ class TestSweepAndKpi:
         assert main(["sweep", "--config", str(config_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and "horizon_s" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("radio", [
+        {"adr_margin_db": math.nan}, {"capture_threshold_db": math.nan}, {"capture_threshold_db": -math.inf},
+        {"tx_power_dbm": math.inf}, {"channels_hz": [0, -5]}, {"channels_hz": [868100000, 0]},
+    ])
+    def test_non_finite_or_non_positive_radio_field_is_config_error(self, capsys, config_file, radio):
+        config = json.loads(config_file.read_text())
+        config_file.write_text(json.dumps({**config, "radio": radio}))  # NaN and Infinity as JSON extensions
+        assert main(["sweep", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and next(iter(radio)) in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field,value", [

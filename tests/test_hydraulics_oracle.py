@@ -1,0 +1,211 @@
+"""Differential tests: the columnar hydraulic ingest against its oracle.
+
+``tests/reference_hydraulics.py`` keeps the row-by-row ingest that the
+columnar one replaced.  On every input the two must agree: either every
+``HydraulicSeries`` field is bit-equal, ids in the same order, or both raise
+the same exception type with the same message.
+"""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hydrolora import build_network, export_hydraulic_csv, ingest_hydraulic_csv, synthetic_wds, tokenize_inp
+from hydrolora.errors import HydroLoraError
+from tests import reference_hydraulics
+from tests.test_bench_contract import load_perfbench
+
+# A reservoir and three junctions; two ids need quoting in CSV.
+ORACLE_INP = """\
+[RESERVOIRS]
+ R1 150
+[JUNCTIONS]
+ J1 100 1
+ a,"b 95 2
+ Jé 90 1
+[PIPES]
+ P1 R1 J1 100 0.3 130
+ p,"2 J1 a,"b 100 0.3 130
+ P3 a,"b Jé 50 0.3 130
+[COORDINATES]
+ R1 0 0
+ J1 100 0
+ a,"b 200 0
+ Jé 300 0
+"""
+NODE_HEADER = ["time_s", "node_id", "pressure", "demand"]
+LINK_HEADER = ["time_s", "link_id", "flow"]
+NODE_IDS = ["R1", "J1", 'a,"b', "Jé"]
+LINK_IDS = ["P1", 'p,"2', "P3"]
+# Spellings of the grid times: "-0" equals "0" and "3600.0" equals "3600".
+TIMES = [("0", "-0"), ("1e3",), ("3600", "3600.0"), ("7200",)]
+GOOD = ["1", "-2.5", "0", "-0", "1e300", " 1.5", "1_0", "2.5 ", "1e-320"]
+BAD = ["nan", "inf", "-inf", "1e999", "x", "", "1__0"]
+
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def outcome(ingest, node_bytes, link_bytes, inp):
+    """What ``ingest`` makes of the two files: its series, or (type, message)."""
+    net = build_network(tokenize_inp(inp))
+    with tempfile.TemporaryDirectory() as tmp:
+        node_csv, link_csv = Path(tmp, "nodes.csv"), Path(tmp, "links.csv")
+        node_csv.write_bytes(node_bytes)
+        link_csv.write_bytes(link_bytes)
+        try:
+            return ingest(node_csv, link_csv, net)
+        except HydroLoraError as exc:
+            return type(exc), str(exc).replace(tmp, "<tmp>")
+
+
+def bits(array):
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def assert_same(node_bytes, link_bytes, inp=ORACLE_INP):
+    """Both ingests give bit-equal series or the same error; returns ours."""
+    got = outcome(ingest_hydraulic_csv, node_bytes, link_bytes, inp)
+    expected = outcome(reference_hydraulics.ingest_hydraulic_csv, node_bytes, link_bytes, inp)
+    if isinstance(expected, tuple) or isinstance(got, tuple):
+        assert got == expected
+        return got
+    assert bits(got.timestamps) == bits(expected.timestamps)
+    assert bits(got.node_flow) == bits(expected.node_flow)
+    for name in ("pressure", "demand", "flow"):
+        got_column, expected_column = getattr(got, name), getattr(expected, name)
+        assert list(got_column) == list(expected_column)
+        assert [bits(v) for v in got_column.values()] == [bits(v) for v in expected_column.values()]
+    return got
+
+
+def random_grid(rnd):
+    return sorted(rnd.sample(TIMES, rnd.randint(1, len(TIMES))), key=lambda spellings: float(spellings[0]))
+
+
+def long_csv(rnd, header, ids, grid):
+    """CSV bytes in the ingest schema, mostly well formed: each drawn id at
+    each grid time, time-major or id-major, with now and then a bad value,
+    an unknown id, a dropped, swapped, short or wide row, a blank line, a
+    header with columns moved or missing, CRLF or CR line ends, quoting of
+    every field, or a byte that is not UTF-8."""
+    def rarely(odds):
+        return rnd.random() < odds
+
+    pool = ids + ["Z9"] if rarely(0.1) else ids
+    entities = rnd.sample(pool, rnd.randint(0, len(ids)))
+    pairs = [(t, e) for t in grid for e in entities]
+    if rnd.random() < 0.5:
+        pairs.sort(key=lambda pair: entities.index(pair[1]))
+    rows = [[rnd.choice(t), e, *(rnd.choice(BAD if rarely(0.02) else GOOD) for _ in header[2:])]
+            for t, e in pairs]
+    if rows and rarely(0.1):
+        rows.pop(rnd.randrange(len(rows)))
+    if rows and rarely(0.05):
+        rnd.choice(rows)[0] = rnd.choice(rnd.choice(TIMES))
+    if len(rows) > 1 and rarely(0.1):
+        i = rnd.randrange(len(rows) - 1)
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    for row in rows:
+        if rarely(0.01):
+            del row[rnd.randrange(len(row)):]
+        elif rarely(0.02):
+            row.append(rnd.choice(GOOD))
+    columns = list(header)
+    if rarely(0.1):
+        rnd.shuffle(columns)
+        rows = [[dict(zip(header, row)).get(name, "") for name in columns] for row in rows]
+    if rarely(0.03):
+        columns.pop()
+    if rarely(0.1):
+        columns.append("extra")
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=rnd.choice(["\n"] * 4 + ["\r\n", "\r"]),
+                        quoting=csv.QUOTE_ALL if rarely(0.15) else csv.QUOTE_MINIMAL)
+    for row in [columns, *rows]:
+        writer.writerow(row)
+        if rarely(0.03):
+            buffer.write("\n")
+    data = buffer.getvalue().encode("utf-8")
+    if rarely(0.05):
+        at = rnd.randint(0, len(data))
+        data = data[:at] + rnd.choice([b"\xff", b"\x80", b"\xc3", b"\x00"]) + data[at:]
+    return data
+
+
+@FUZZ
+@given(st.randoms(use_true_random=True))
+def test_columnar_ingest_matches_oracle(rnd):
+    """The two files share one grid, or now and then each has its own."""
+    grid = random_grid(rnd)
+    assert_same(long_csv(rnd, NODE_HEADER, NODE_IDS, grid),
+                long_csv(rnd, LINK_HEADER, LINK_IDS, grid if rnd.random() < 0.85 else random_grid(rnd)))
+
+
+NODES = "time_s,node_id,pressure,demand\n"
+LINKS = "time_s,link_id,flow\n"
+GOOD_NODES = NODES + '0,R1,50,0\n0,"a,""b",48,2\n3600,R1,49,0\n3600,"a,""b",47,2\n'
+GOOD_LINKS = LINKS + '0,P1,10\n0,"p,""2",-3\n3600,P1,12\n3600,"p,""2",-4\n'
+
+
+@pytest.mark.parametrize("nodes,links", [
+    (GOOD_NODES, GOOD_LINKS),  # quoted ids holding "," and '"'
+    (GOOD_NODES.replace("\n", "\r\n"), GOOD_LINKS),
+    (GOOD_NODES.replace("\n", "\r"), GOOD_LINKS.replace("\n", "\r")),
+    (GOOD_NODES.replace("3600,R1", "\n\n3600,R1"), GOOD_LINKS + "\n\n"),  # blank lines
+    ("\n" + GOOD_NODES, GOOD_LINKS),  # a blank first line is an empty header
+    (NODES + "0,R1,50\n", GOOD_LINKS),  # short row
+    (NODES + "0,R1,50,0,9,9\n3600,R1,49,0,9\n", LINKS + "0,P1,10,x\n3600,P1,1\n"),  # wide rows pass
+    (NODES + "0,R1,nan,0\n0,J1,inf,1\n", GOOD_LINKS),
+    (NODES + "0,R1,1,0\n0,J1,1,1\n3600,J1,inf,1\n3600,R1,nan,0\n", LINKS),  # first id's line wins
+    (NODES + "0,J1,1,1\n0,R1,nan,0\n3600,J1,inf,1\n3600,R1,1,0\n7200,J1,nan,1\n", LINKS),
+    (NODES + "0,R1, 1.5,1_0\n", LINKS + "0,P1,1_0 \n"),
+    (NODES + "0,R1,1__0,0\n", LINKS),
+    (NODES, LINKS),  # header-only files
+    (NODES, GOOD_LINKS),
+    (GOOD_NODES, LINKS),
+    ("", GOOD_LINKS),
+    (NODES + "3600,R1,1,0\n0,R1,1,0\n", LINKS),  # non-monotone
+    (NODES + "0,R1,1,0\n3600,R1,1,0\n0,J1,1,0\n", LINKS),  # mismatched grid
+    (NODES + "0,R1,1,0\n3600,R1,1,0\n0,J1,1,0\n7200,J1,1,0\n", LINKS),
+    (NODES + "0,R1,1,0\n0,J1,1,0\n3600,J1,1,0\n3600,J1,2,0\n", LINKS),
+    (NODES + "0,R1,1,0\n", LINKS + "3600,P1,1\n"),  # node and link grids differ
+    (NODES + "-0,R1,1,0\n0,J1,1,0\n", LINKS + "0.0,P1,1\n"),
+    (NODES + "0,Z9,1,0\n", LINKS + "0,Q9,1\n"),  # unknown ids
+    (GOOD_NODES, LINKS + "0,P1,1\n0,Q9,x\n"),
+    ("time_s,node_id,pressure\n0,R1,1\n", GOOD_LINKS),  # missing column
+    ("demand,node_id,time_s,pressure\n1,R1,0,50\n", GOOD_LINKS),  # columns in another order
+    (NODES + '0,"R1,1,0\n', LINKS),  # unterminated quote
+    (NODES + "0,R\x001,1,0\n", LINKS),
+    (NODES.replace("\n", ",note\n") + "0,R1,1,0," + "x" * 131073 + "\n", LINKS),  # field over csv's limit
+    (GOOD_NODES.replace('"a,""b"', "J1").rstrip("\n"), GOOD_LINKS.rstrip("\n")),  # no final line end
+])
+def test_explicit_case_matches_oracle(nodes, links):
+    assert_same(nodes.encode("utf-8"), links.encode("utf-8"))
+
+
+@pytest.mark.parametrize("at", [len(NODES) + 3, 20_000])
+def test_non_utf8_bytes_match_oracle(at):
+    """A bad byte in the first decoded block or far beyond it, behind rows
+    that are themselves bad or good."""
+    rows = "".join(f"{t},R1,1,0\n" for t in range(2000))
+    data = (NODES + rows).encode()
+    assert_same(data[:at] + b"\xff" + data[at:], GOOD_LINKS.encode())
+    bad_rows = (NODES + "0,R1,x,0\n" + rows).encode()
+    assert_same(bad_rows[:at] + b"\xff" + bad_rows[at:], GOOD_LINKS.encode())
+
+
+def test_benchmark_series_matches_oracle(tmp_path):
+    inp = synthetic_wds(n_nodes=120, n_clusters=3, seed=5)
+    (tmp_path / "network.inp").write_text(inp)
+    series = load_perfbench("workloads").hydraulic_series(tmp_path / "network.inp", seed=2)
+    export_hydraulic_csv(series, tmp_path / "nodes.csv", tmp_path / "links.csv")
+    got = assert_same((tmp_path / "nodes.csv").read_bytes(), (tmp_path / "links.csv").read_bytes(), inp)
+    assert list(got.flow) == list(series.flow) and got.node_flow.any()

@@ -95,6 +95,17 @@ class TestRadioConfigValidation:
         with pytest.raises(ValueError, match="SF10"):
             RadioConfig(sensitivity_dbm=table)
 
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "adr_margin_db", "capture_threshold_db"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_level_fields_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RadioConfig(**{field: value})
+
+    @pytest.mark.parametrize("channels", [(0,), (868_100_000, -5)])
+    def test_channels_must_be_positive(self, channels):
+        with pytest.raises(ValueError, match="channels_hz"):
+            RadioConfig(channels_hz=channels)
+
     def test_duty_cycle_bounds(self):
         with pytest.raises(ValueError):
             RadioConfig(duty_cycle_limit=0.0)

@@ -1,10 +1,15 @@
-"""Differential tests: the lazy greedy placement against its oracles.
+"""Differential tests: the lazy greedy and k-means placements against their oracles.
 
 ``tests/reference_placement.py`` keeps the dense greedy that the lazy greedy
 over radius neighbour lists replaced.  Its gains are BLAS sums, so the two
 are compared on dyadic weights, whose sums are exact in any order: ties are
 then true ties and both must pick the lowest index among them.  On weights
 whose sums round, an exact rational oracle stands in for the dense code.
+
+It also keeps the k-means with its N x K x 2 distance temporary.  Its
+arithmetic has no BLAS in it, so the shipped k-means must match it bit for
+bit on any weights, the 420-node acceptance network and the 4419-node
+benchmark network included.
 """
 
 import warnings
@@ -19,6 +24,7 @@ from hydrolora import (
     build_adjacency,
     build_network,
     degree_centrality,
+    degree_centrality_deploy,
     flow_proxy,
     greedy_coverage_deploy,
     placement_weights,
@@ -145,3 +151,43 @@ def test_acceptance_fixture_centrality_weights_match_exact_oracle(radius_m):
     k = max(SWEEP_KS)
     want = [tuple(xy[i].tolist()) for i in exact_greedy(k, xy, weights, radius_m)]
     assert greedy_coverage_deploy(k, xy, weights, radius_m=radius_m).positions == want
+
+
+def assert_same_kmeans(k, xy, weights, snap=False):
+    """The shipped k-means and its N x K x 2 oracle: the same error, or
+    positions and objective with the same bits (``repr`` round-trips floats)."""
+    outcomes = []
+    for deploy in (degree_centrality_deploy, reference_placement.degree_centrality_deploy):
+        try:
+            outcomes.append(repr(deploy(k, xy, weights, snap_to_nodes=snap)))
+        except AllZeroWeights as exc:
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(cases(), cases(ROUNDING)), st.booleans())
+# coincident seeds leave two clusters empty, so they are reseeded
+@example(case([(2, 2), (2, 2), (2, 2), (9, 9), (9, 9), (-4, 0)], [0.25, 0.25, 0.5, 1.0, 0.0, 0.5], 5, 1.0), False)
+def test_kmeans_matches_oracle(p, snap):
+    assert_same_kmeans(p["k"], xy_of(p), np.array(p["weights"]), snap)
+
+
+def fixture_weights(net):
+    adj = build_adjacency(net)
+    return placement_weights(degree_centrality(adj), flow_proxy(net, adj).values, 0.5).weight
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("snap", [False, True])
+def test_kmeans_matches_oracle_on_acceptance_fixture(scale, snap):
+    net = build_network(tokenize_inp(synthetic_wds(**FIXTURE)))
+    for k in SWEEP_KS:
+        assert_same_kmeans(k, net.coordinates() * scale, fixture_weights(net), snap)
+
+
+@pytest.mark.parametrize("k,scale,snap", [(77, 1.0, False), (165, 3.0, True)])
+def test_kmeans_matches_oracle_on_paper_fixture(k, scale, snap):
+    """The benchmark's 4419-node network at the paper's smallest and largest K."""
+    net = build_network(tokenize_inp(synthetic_wds(n_nodes=4419, n_reservoirs=3, seed=0)))
+    assert_same_kmeans(k, net.coordinates() * scale, fixture_weights(net), snap)
