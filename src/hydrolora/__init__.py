@@ -23,13 +23,10 @@ from .lora import (
     EnergyModel,
     PropagationModel,
     RadioConfig,
-    SfAssignment,
-    adr_assign,
     airtime,
     assign_sfs,
     link_rssi_matrix,
     path_loss_db,
-    rssi,
     smallest_feasible_sf,
 )
 from .orchestrator import (
@@ -83,13 +80,11 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "ScenarioResult",
-    "SfAssignment",
     "SimulationResult",
     "TrafficModel",
     "Transmissions",
     "WaterNetwork",
     "WirelessFeatures",
-    "adr_assign",
     "airtime",
     "assign_sfs",
     "build_adjacency",
@@ -111,7 +106,6 @@ __all__ = [
     "placement_weights",
     "read_inp",
     "regular_grid_deploy",
-    "rssi",
     "run_scenario",
     "simulate",
     "smallest_feasible_sf",

@@ -224,14 +224,14 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
             nodes.append((node_id, kind_of[section], elevation, demand, row.line))
 
     links: list[tuple[str, str, int, int, float, float]] = []
-    link_lines: dict[str, int] = {}
+    link_ids: set[str] = set()
     for section in doc.sections:
         if section not in LINK_SECTIONS:
             continue
         for row in doc.rows(section):
             _need(section, row, 5 if section == "PIPES" else 3)
             link_id, from_node, to_node = row.tokens[0], row.tokens[1], row.tokens[2]
-            if link_id in link_lines:
+            if link_id in link_ids:
                 raise DuplicateId(f"link {link_id!r} defined twice")
             for endpoint in (from_node, to_node):
                 if endpoint not in node_row:
@@ -245,7 +245,7 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
                 if length <= 0 or diameter <= 0:
                     raise MalformedRow(section, row.line, "pipe length and diameter must be positive")
             links.append((link_id, kind_of[section], node_row[from_node], node_row[to_node], length, diameter))
-            link_lines[link_id] = row.line
+            link_ids.add(link_id)
 
     # Extra demand categories accumulate onto the junction's base demand.
     extra_demand: dict[str, float] = {}

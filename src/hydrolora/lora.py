@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSf, NoGateways
-
-SF_RANGE = (7, 8, 9, 10, 11, 12)
+from .errors import InvalidSf
+from .placement import _sq_dist
 
 # Typical 125 kHz sensitivities per SF.
 DEFAULT_SENSITIVITY_DBM = {7: -123.0, 8: -126.0, 9: -129.0, 10: -132.0, 11: -134.5, 12: -137.0}
@@ -147,11 +146,6 @@ def path_loss_db(distance_m, model: PropagationModel = PropagationModel()):
     return float(loss) if np.isscalar(distance_m) else loss
 
 
-def rssi(tx_dbm: float, loss_db):
-    """Received power: transmit power minus path loss."""
-    return tx_dbm - loss_db
-
-
 def link_rssi_matrix(
     device_xy: np.ndarray,
     gateway_xy: np.ndarray,
@@ -167,19 +161,12 @@ def link_rssi_matrix(
     """
     device_xy = np.asarray(device_xy, dtype=np.float64)
     gateway_xy = np.asarray(gateway_xy, dtype=np.float64)
-    delta = device_xy[:, None, :] - gateway_xy[None, :, :]
-    distance = np.sqrt((delta**2).sum(axis=2))
+    distance = _sq_dist(device_xy, gateway_xy)
+    np.sqrt(distance, out=distance)
     loss = path_loss_db(distance, model)
     if shadowing_db is not None:
         loss = loss + shadowing_db
     return cfg.tx_power_dbm - loss
-
-
-@dataclass(frozen=True)
-class SfAssignment:
-    sf: int
-    coverage_marginal: bool
-    best_rssi_dbm: float
 
 
 def assign_sfs(best_rssi_dbm, cfg: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -196,20 +183,3 @@ def smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, b
     sf, marginal = assign_sfs(best_rssi_dbm, cfg)
     return int(sf), bool(marginal)
 
-
-def adr_assign(
-    device_xy,
-    gateways_xy,
-    cfg: RadioConfig,
-    model: PropagationModel = PropagationModel(),
-    shadowing_db: np.ndarray | None = None,
-) -> SfAssignment:
-    """One-shot ADR: assign the cheapest SF the best gateway link supports."""
-    gateways_xy = np.atleast_2d(np.asarray(gateways_xy, dtype=np.float64))
-    if gateways_xy.shape[0] == 0:
-        raise NoGateways("ADR needs at least one gateway")
-    matrix = link_rssi_matrix(np.atleast_2d(np.asarray(device_xy, dtype=np.float64)),
-                              gateways_xy, cfg, model, shadowing_db)
-    best = float(matrix.max())
-    sf, marginal = smallest_feasible_sf(best, cfg)
-    return SfAssignment(sf=sf, coverage_marginal=marginal, best_rssi_dbm=best)

@@ -21,6 +21,7 @@ REGULAR_GRID = "regular_grid"
 DEGREE_CENTRALITY = "degree_centrality"
 GREEDY_COVERAGE = "greedy_coverage"
 STRATEGIES = (REGULAR_GRID, DEGREE_CENTRALITY, GREEDY_COVERAGE)
+KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -120,7 +121,6 @@ def degree_centrality_deploy(
     node_xy: np.ndarray,
     weights: np.ndarray,
     *,
-    max_iter: int = 100,
     snap_to_nodes: bool = False,
 ) -> GatewaySet:
     """Weighted k-means over node coordinates; centers become gateways.
@@ -128,9 +128,10 @@ def degree_centrality_deploy(
     Initialization is the deterministic weighted farthest-point rule, Lloyd
     iterations assign nodes to the nearest center and recompute centers as
     weight-weighted centroids, and the loop stops when the largest center
-    displacement drops below 1e-6 of the bbox diagonal.  An emptied cluster
-    is reseeded at the node with the largest weight * squared-distance to
-    its current center.  Nothing here is random.
+    displacement drops below 1e-6 of the bbox diagonal, or after
+    ``KMEANS_MAX_ITER`` iterations.  An emptied cluster is reseeded at the
+    node with the largest weight * squared-distance to its current center.
+    Nothing here is random.
     """
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -150,7 +151,7 @@ def degree_centrality_deploy(
 
     centers = node_xy[_farthest_point_seeds(node_xy, weights, k)].copy()
     previous_objective = math.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sq_dist = _sq_dist(node_xy, centers)
         assignment = sq_dist.argmin(axis=1)
         nearest_sq = sq_dist[np.arange(n), assignment]

@@ -42,13 +42,14 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import distinct, floats, text, write_csv
-from .errors import InvalidSf, NoDevices, NoGateways
+from .errors import NoDevices, NoGateways
 from .inp import WaterNetwork
 from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
 from .rng import substream
 
 ROUND = 256  # draws per block: the unit in which a device consumes its substream
 OUTCOMES = ("delivered", "no_coverage", "collided")
+BATTERY_SAMPLE_S = 3600.0  # battery.csv is hourly
 
 
 @dataclass(frozen=True)
@@ -258,15 +259,15 @@ def simulate(
     *,
     propagation: PropagationModel = PropagationModel(),
     traffic: TrafficModel = TrafficModel(),
-    force_sf: int | None = None,
-    battery_sample_s: float = 3600.0,
 ) -> SimulationResult:
     """Run one uplink scenario: ADR, traffic, overlap and capture, energy.
 
     ``gateways`` is a GatewaySet or any (K, 2) coordinate sequence.  Identical
     inputs and seed reproduce the transmission stream bit-exactly.  A device
     stops transmitting when its battery cannot afford the next uplink; the
-    duty-cycle limit postpones a draw that would start too early.
+    duty-cycle limit postpones a draw that would start too early.  ADR picks
+    each SF inside ``cfg``'s SF range, so ``sf_min == sf_max`` pins every
+    device to one SF.  Battery levels are sampled hourly from time 0.
     """
     positions = getattr(gateways, "positions", gateways)
     gw_xy = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -278,8 +279,6 @@ def simulate(
         raise NoGateways(f"gateways must be finite (K, 2) coordinates, got an array of shape {gw_xy.shape}")
     if not 0 <= horizon_s < math.inf:
         raise ValueError("horizon_s must be finite and nonnegative")
-    if not 0 < battery_sample_s < math.inf:
-        raise ValueError("battery_sample_s must be finite and positive")
 
     n, k = net.node_count, len(gw_xy)
 
@@ -289,12 +288,7 @@ def simulate(
     link_rssi = link_rssi_matrix(net.coordinates(), gw_xy, cfg, propagation, shadowing)
 
     best_rssi = link_rssi.max(axis=1)
-    if force_sf is None:
-        sfs, marginal = assign_sfs(best_rssi, cfg)
-    elif force_sf in cfg.sfs():
-        sfs, marginal = np.full(n, force_sf, dtype=np.int64), np.zeros(n, dtype=bool)
-    else:
-        raise InvalidSf(f"force_sf={force_sf} outside {cfg.sf_min}..{cfg.sf_max}")
+    sfs, marginal = assign_sfs(best_rssi, cfg)
 
     # Per-SF tables, indexed by sf - sf_min, then per device.
     airtimes = [airtime(sf, cfg) for sf in cfg.sfs()]
@@ -334,9 +328,7 @@ def simulate(
         device_ids=devices.id, gateway_ids=tuple(f"gw{j:03d}" for j in range(k)),
     )
 
-    sample_times = np.arange(0.0, horizon_s + battery_sample_s / 2, battery_sample_s)
-    if len(sample_times) == 0:
-        sample_times = np.array([0.0])
+    sample_times = np.arange(0.0, horizon_s + BATTERY_SAMPLE_S / 2, BATTERY_SAMPLE_S)
     # An uplink drains the battery from the first sample at or after its start.
     slot = np.searchsorted(sample_times, time_s, side="left")
     width = len(sample_times) + 1

@@ -4,7 +4,9 @@ This is the uplink simulator as it stood before the columnar core in
 ``hydrolora.sim`` replaced it: one ``TransmissionRecord`` per uplink, a
 ``heapq`` queue of (time, device) entries, chunked per-device draws and a
 pairwise collision loop, plus its CSV exporter and the scalar ADR scan.  The
-only edits are the dropped ``EndDeviceState`` fields (index, x, y, period_s).
+only edits are the dropped ``EndDeviceState`` fields (index, x, y, period_s)
+and the dropped ``force_sf`` and ``battery_sample_s`` parameters (samples are
+hourly, and a one-SF ``RadioConfig`` range pins every device's SF).
 Its result types (``EndDeviceState``, ``WirelessFeatures``, ``EnergyReport``)
 are its own copies, so the oracle shares no result type with the code under
 test.  The differential test in ``test_sim_oracle.py`` requires the shipped
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hydrolora.errors import InvalidSf, NoDevices, NoGateways
+from hydrolora.errors import NoDevices, NoGateways
 from hydrolora.inp import WaterNetwork
 from hydrolora.lora import EnergyModel, PropagationModel, RadioConfig, airtime, link_rssi_matrix
 from hydrolora.rng import substream
@@ -155,11 +157,7 @@ class _DeviceTraffic:
         return channel
 
 
-def _assign_sfs(best_rssi: np.ndarray, cfg: RadioConfig, force_sf: int | None) -> tuple[np.ndarray, np.ndarray]:
-    if force_sf is not None:
-        if force_sf not in cfg.sfs():
-            raise InvalidSf(f"force_sf={force_sf} outside {cfg.sf_min}..{cfg.sf_max}")
-        return (np.full(len(best_rssi), force_sf, dtype=np.int64), np.zeros(len(best_rssi), dtype=bool))
+def _assign_sfs(best_rssi: np.ndarray, cfg: RadioConfig) -> tuple[np.ndarray, np.ndarray]:
     sfs = np.empty(len(best_rssi), dtype=np.int64)
     marginal = np.zeros(len(best_rssi), dtype=bool)
     for i, value in enumerate(best_rssi):
@@ -177,8 +175,6 @@ def simulate(
     *,
     propagation: PropagationModel = PropagationModel(),
     traffic: TrafficModel = TrafficModel(),
-    force_sf: int | None = None,
-    battery_sample_s: float = 3600.0,
 ) -> ReferenceResult:
     """Run one uplink scenario: ADR, traffic event loop, collision resolution.
 
@@ -207,7 +203,7 @@ def simulate(
     link_rssi = link_rssi_matrix(device_xy, gw_xy, cfg, propagation, shadowing)
 
     best_rssi = link_rssi.max(axis=1)
-    sfs, marginal = _assign_sfs(best_rssi, cfg, force_sf)
+    sfs, marginal = _assign_sfs(best_rssi, cfg)
 
     airtime_by_sf = {sf: airtime(sf, cfg) for sf in cfg.sfs()}
     energy_by_sf = {sf: energy_model.uplink_energy_j(cfg.tx_power_dbm, airtime_by_sf[sf]) for sf in cfg.sfs()}
@@ -272,6 +268,7 @@ def simulate(
         devices[i].energy_j = float(per_device_j[i])
         devices[i].battery_j = energy_model.initial_battery_j - devices[i].energy_j
 
+    battery_sample_s = 3600.0
     sample_times = np.arange(0.0, horizon_s + battery_sample_s / 2, battery_sample_s)
     if len(sample_times) == 0:
         sample_times = np.array([0.0])

@@ -9,7 +9,9 @@ whose sums round, an exact rational oracle stands in for the dense code.
 It also keeps the k-means with its N x K x 2 distance temporary.  Its
 arithmetic has no BLAS in it, so the shipped k-means must match it bit for
 bit on any weights, the 420-node acceptance network and the 4419-node
-benchmark network included.
+benchmark network included.  The link budget takes its distances from the
+same squared-distance helper, so on both networks it must equal the budget
+computed from that (N, K, 2) temporary bit for bit.
 """
 
 import warnings
@@ -21,18 +23,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrolora import (
+    PropagationModel,
+    RadioConfig,
     build_adjacency,
     build_network,
     degree_centrality,
     degree_centrality_deploy,
     flow_proxy,
     greedy_coverage_deploy,
+    link_rssi_matrix,
+    path_loss_db,
     placement_weights,
     synthetic_wds,
     tokenize_inp,
 )
 from hydrolora.errors import AllZeroWeights
 from hydrolora.placement import _radius_neighbours
+from hydrolora.rng import substream
 from tests import reference_placement
 from tests.test_acceptance import FIXTURE, SWEEP_KS
 
@@ -191,3 +198,21 @@ def test_kmeans_matches_oracle_on_paper_fixture(k, scale, snap):
     """The benchmark's 4419-node network at the paper's smallest and largest K."""
     net = build_network(tokenize_inp(synthetic_wds(n_nodes=4419, n_reservoirs=3, seed=0)))
     assert_same_kmeans(k, net.coordinates() * scale, fixture_weights(net), snap)
+
+
+@pytest.mark.parametrize("fixture,ks", [(FIXTURE, SWEEP_KS),
+                                        (dict(n_nodes=4419, n_reservoirs=3, seed=0), (77, 96, 117, 140, 165))])
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_link_rssi_matches_dense_distance_expression(fixture, ks, scale):
+    net = build_network(tokenize_inp(synthetic_wds(**fixture)))
+    xy = net.coordinates() * scale
+    rng = substream(9, "link-rssi-oracle")
+    cfg = RadioConfig()
+    for k in ks:
+        # random gateways in the bounding box, the first one on a node (distance 0)
+        gateways = rng.uniform(xy.min(axis=0), xy.max(axis=0), size=(k, 2))
+        gateways[0] = xy[k]
+        dense = np.sqrt(((xy[:, None] - gateways[None]) ** 2).sum(axis=2))
+        for model in (PropagationModel(), PropagationModel(ref_loss_db=120.0, exponent=3.5)):
+            expected = cfg.tx_power_dbm - path_loss_db(dense, model)
+            assert np.array_equal(link_rssi_matrix(xy, gateways, cfg, model), expected)

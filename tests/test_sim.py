@@ -79,11 +79,6 @@ class TestSingleLink:
         with pytest.raises(NoGateways, match=r"finite \(K, 2\)"):
             simulate(single_device_net(), gateways, horizon_s=10.0)
 
-    @pytest.mark.parametrize("battery_sample_s", [0.0, -3600.0, math.nan, math.inf])
-    def test_battery_sample_must_be_finite_and_positive(self, battery_sample_s):
-        with pytest.raises(ValueError, match="battery_sample_s"):
-            simulate(single_device_net(), [(10.0, 0.0)], horizon_s=10.0, battery_sample_s=battery_sample_s)
-
 
 class TestCollisions:
     def two_device_net(self, xy1, xy2):
@@ -106,8 +101,8 @@ class TestCollisions:
     def test_capture_keeps_stronger_copy(self):
         net = self.two_device_net((10, 0), (2000, 0))
         traffic = TrafficModel(mode="periodic", period_s=600.0, first_offset_s=0.0)
-        result = simulate(net, [(0.0, 0.0)], ONE_CHANNEL, horizon_s=300.0,
-                          traffic=traffic, force_sf=7, seed=0)
+        result = simulate(net, [(0.0, 0.0)], dataclasses.replace(ONE_CHANNEL, sf_max=7), horizon_s=300.0,
+                          traffic=traffic, seed=0)
         outcomes = dict(zip(result.records.device_id.tolist(), result.records.outcome.tolist()))
         assert outcomes == {"D1": "delivered", "D2": "collided"}
 
@@ -216,8 +211,8 @@ class TestEnergyProperties:
         traffic = TrafficModel(mode="periodic", period_s=300.0, first_offset_s=0.0)
         energies = []
         for sf in range(7, 13):
-            result = simulate(self.net(), [(200.0, 40.0)], horizon_s=7200.0,
-                              seed=1, traffic=traffic, force_sf=sf)
+            result = simulate(self.net(), [(200.0, 40.0)], RadioConfig(sf_min=sf, sf_max=sf), horizon_s=7200.0,
+                              seed=1, traffic=traffic)
             energies.append(result.energy.total_j)
             assert result.features.sent == 8 * 24  # fixed traffic counts
         assert all(b > a for a, b in zip(energies, energies[1:]))
@@ -250,9 +245,9 @@ class TestDeterminism:
         """Same seed, different placement: identical uplink times when the
         duty cycle cannot bite (paired-comparison design)."""
         net = self.shared_net = make_network(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-        cfg = dataclasses.replace(RadioConfig(), duty_cycle_limit=1.0)
-        near = simulate(net, [(20.0, 0.0)], cfg, horizon_s=3600.0, seed=8, force_sf=7)
-        far = simulate(net, [(2500.0, 0.0)], cfg, horizon_s=3600.0, seed=8, force_sf=7)
+        cfg = RadioConfig(sf_min=7, sf_max=7, duty_cycle_limit=1.0)
+        near = simulate(net, [(20.0, 0.0)], cfg, horizon_s=3600.0, seed=8)
+        far = simulate(net, [(2500.0, 0.0)], cfg, horizon_s=3600.0, seed=8)
         assert near.records.time_s.tolist() == far.records.time_s.tolist()
 
     def test_shadowing_fixed_per_pair(self):

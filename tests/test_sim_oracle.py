@@ -23,7 +23,7 @@ SF7_UPLINK_J = EnergyModel().tx_energy_j(14.0, airtime(7, RadioConfig()))
 BASE = dict(n=4, coords=[(0, 0), (300, 0), (0, 2500), (6000, 6000)], gateways=[(100.0, 100.0)],
             mode="poisson", period_s=300.0, jitter_s=0.0, first_offset_s=None, horizon_s=1800.0,
             channels=DEFAULT_CHANNELS_HZ, duty_cycle_limit=0.01, capture_db=6.0, shadowing_db=0.0,
-            battery_uplinks=None, force_sf=None, seed=1)
+            battery_uplinks=None, sf_range=(7, 12), seed=1)
 
 
 @st.composite
@@ -44,7 +44,7 @@ def scenarios(draw):
         capture_db=draw(st.sampled_from([6.0, 0.0])),
         shadowing_db=draw(st.sampled_from([0.0, 6.0])),
         battery_uplinks=draw(st.sampled_from([None, 3.5, 256.5])),
-        force_sf=draw(st.sampled_from([None, None, 7, 12])),
+        sf_range=draw(st.sampled_from([(7, 12), (7, 12), (7, 7), (12, 12)])),
         seed=draw(st.integers(0, 3)),
     )
 
@@ -53,11 +53,11 @@ def run_both(p):
     net = make_network(p["n"], [(i, i + 1) for i in range(1, p["n"])],
                        coords={i + 1: xy for i, xy in enumerate(p["coords"])})
     cfg = RadioConfig(channels_hz=p["channels"], duty_cycle_limit=p["duty_cycle_limit"],
-                      capture_threshold_db=p["capture_db"])
+                      capture_threshold_db=p["capture_db"], sf_min=p["sf_range"][0], sf_max=p["sf_range"][1])
     energy = EnergyModel() if p["battery_uplinks"] is None else \
         EnergyModel(initial_battery_j=p["battery_uplinks"] * SF7_UPLINK_J)
     kwargs = dict(
-        horizon_s=p["horizon_s"], seed=p["seed"], force_sf=p["force_sf"],
+        horizon_s=p["horizon_s"], seed=p["seed"],
         propagation=PropagationModel(shadowing_sigma_db=p["shadowing_db"]),
         traffic=TrafficModel(mode=p["mode"], period_s=p["period_s"], jitter_s=p["jitter_s"],
                              first_offset_s=p["first_offset_s"]),
@@ -121,9 +121,9 @@ def assert_same_csvs(new, ref, tmp_path):
             "channels": (868_100_000,), "horizon_s": 3000.0})
 @example(p={**BASE, "mode": "periodic", "period_s": 2.0, "jitter_s": 0.5, "duty_cycle_limit": 1.0})
 # Battery runs out exactly at the end of the first block of draws.
-@example(p={**BASE, "period_s": 2.0, "duty_cycle_limit": 1.0, "battery_uplinks": 256.5, "force_sf": 7})
+@example(p={**BASE, "period_s": 2.0, "duty_cycle_limit": 1.0, "battery_uplinks": 256.5, "sf_range": (7, 7)})
 # A fixed first offset: every device starts at the same instant.
-@example(p={**BASE, "mode": "periodic", "first_offset_s": 0.0, "channels": (868_100_000,), "force_sf": 12})
+@example(p={**BASE, "mode": "periodic", "first_offset_s": 0.0, "channels": (868_100_000,), "sf_range": (12, 12)})
 # Equal RSSI at a 0 dB capture threshold: both simultaneous copies survive.
 @example(p={**BASE, "n": 2, "coords": [(0, 100), (200, 100)], "mode": "periodic", "first_offset_s": 0.0,
             "channels": (868_100_000,), "capture_db": 0.0})
