@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import HydroLoraError
@@ -74,6 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(value) -> None:
+    """Print ``value`` as standard JSON: a non-finite float (a run with no
+    uplinks has no PDR) is written as null."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(item) for item in v]
+        return v
+    print(json.dumps(finite(value), indent=2, sort_keys=True, allow_nan=False))
+
+
 def _load_config(args, out=None) -> ScenarioConfig:
     if args.config is None:
         raise _UsageError("--config is required for this subcommand")
@@ -95,7 +110,7 @@ def _network_config(args, snap: bool = False) -> ScenarioConfig:
 
 def cmd_parse(args) -> int:
     net = read_inp(args.inp, coordinate_scale=args.scale)
-    print(json.dumps(net.summary(), indent=2, sort_keys=True))
+    _print_json(net.summary())
     return 0
 
 
@@ -103,7 +118,7 @@ def cmd_graph(args) -> int:
     net = read_inp(args.inp, coordinate_scale=args.scale)
     adj = build_adjacency(net)
     if args.csv is None:
-        print(json.dumps(graph_stats(adj).as_dict(), indent=2, sort_keys=True))
+        _print_json(graph_stats(adj).as_dict())
         return 0
     cv = degree_centrality(adj)
     centrality_csv(cv, None if args.csv == "-" else args.csv)
@@ -129,7 +144,7 @@ def cmd_simulate(args) -> int:
     strategy = STRATEGY_NAMES[args.strategy] if args.strategy else cfg.strategies[0]
     single = dataclasses.replace(cfg, gateway_counts=(k,), strategies=(strategy,), seeds=cfg.seeds[:1])
     result = run_scenario(single)
-    print(json.dumps(dataclasses.asdict(result.runs[0]), indent=2, sort_keys=True))
+    _print_json(dataclasses.asdict(result.runs[0]))
     return 0
 
 
@@ -147,10 +162,9 @@ def cmd_kpi(args) -> int:
     strategy = STRATEGY_NAMES[args.strategy] if args.strategy else None
     outcome = kpi_search(cfg, args.predicate, strategy=strategy)
     if outcome.satisfiable:
-        print(json.dumps({"satisfiable": True, "k": outcome.k,
-                          "row": dataclasses.asdict(outcome.row)}, indent=2, sort_keys=True))
+        _print_json({"satisfiable": True, "k": outcome.k, "row": dataclasses.asdict(outcome.row)})
     else:
-        print(json.dumps({"satisfiable": False, "message": "unsatisfiable"}, indent=2, sort_keys=True))
+        _print_json({"satisfiable": False, "message": "unsatisfiable"})
     return 0
 
 

@@ -171,14 +171,20 @@ def degree_centrality_deploy(
             raise RuntimeError("k-means objective increased; numerical inconsistency")
         previous_objective = objective
 
+        # A stable sort puts each cluster's members in node order in one slice,
+        # so each sum sees the values, order and layout of a masked copy.
+        # (np.add.reduceat would sum sequentially, not pairwise: other bits.)
+        by_cluster = np.argsort(assignment, kind="stable")
+        w, xy = weights[by_cluster], node_xy[by_cluster]
+        wxy = w[:, None] * xy
+        bounds = [0, *np.cumsum(counts).tolist()]
         new_centers = centers.copy()
-        for cluster in range(k):
-            members = assignment == cluster
-            cluster_weight = weights[members].sum()
+        for cluster, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            cluster_weight = w[start:end].sum()
             if cluster_weight > 0:
-                new_centers[cluster] = (weights[members, None] * node_xy[members]).sum(axis=0) / cluster_weight
-            elif members.any():
-                new_centers[cluster] = node_xy[members].mean(axis=0)  # zero-weight cluster
+                new_centers[cluster] = wxy[start:end].sum(axis=0) / cluster_weight
+            elif end > start:
+                new_centers[cluster] = xy[start:end].mean(axis=0)  # zero-weight cluster
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < tol:

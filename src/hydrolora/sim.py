@@ -45,7 +45,7 @@ from .csvio import distinct, floats, text, write_csv
 from .errors import NoDevices, NoGateways
 from .inp import WaterNetwork
 from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
-from .rng import substream
+from .rng import substream, substream_states
 
 ROUND = 256  # draws per block: the unit in which a device consumes its substream
 OUTCOMES = ("delivered", "no_coverage", "collided")
@@ -154,19 +154,24 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     Each round draws one block per still-active device, in the documented order."""
     n = len(min_gap)
     periodic = traffic.mode == "periodic"
-    active = np.flatnonzero(max_sends > 0) if horizon_s > 0 else np.arange(0)
-    rngs = {i: substream(seed, "traffic", i) for i in active.tolist()}
+    active = np.flatnonzero(max_sends > 0)
+    if horizon_s == 0 or not active.size:  # nothing to send: derive no substream state
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # One generator draws every block: each device's substream state is swapped
+    # in before its block and read back after, so later rounds resume it exactly.
+    states = dict(zip(active.tolist(), substream_states(seed, "traffic", last=active.tolist())))
+    rng = np.random.Generator(np.random.PCG64(0))
     sent = np.zeros(n, dtype=np.int64)
     last = np.zeros(n)  # start of each device's latest uplink
     # Periodic: the gap the next round starts with; the first round starts at the phase.
     pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
-    parts = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    parts = []
     first = True
     while active.size:
         gaps = np.zeros((active.size, ROUND))
         picks = np.empty((active.size, ROUND), dtype=np.int64)
         for row, i in enumerate(active.tolist()):
-            rng = rngs[i]
+            rng.bit_generator.state = states[i]
             if not periodic:
                 gaps[row] = rng.exponential(traffic.period_s, size=ROUND)
             elif first and traffic.first_offset_s is None:
@@ -174,6 +179,7 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
             picks[row] = rng.integers(0, n_channels, size=ROUND)
             if periodic and traffic.jitter_s > 0:
                 gaps[row] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
+            states[i] = rng.bit_generator.state
         if periodic:
             # Uplink s waits for the gap drawn after uplink s - 1: shift by one.
             drawn = np.maximum(traffic.period_s + gaps, 0.0)

@@ -6,7 +6,9 @@ This is the uplink simulator as it stood before the columnar core in
 pairwise collision loop, plus its CSV exporter and the scalar ADR scan.  The
 only edits are the dropped ``EndDeviceState`` fields (index, x, y, period_s)
 and the dropped ``force_sf`` and ``battery_sample_s`` parameters (samples are
-hourly, and a one-SF ``RadioConfig`` range pins every device's SF).
+hourly, and a one-SF ``RadioConfig`` range pins every device's SF).  It seeds
+its generators with its own copy of the substream formula, one SeedSequence
+per device, not with the vectorised derivation in ``hydrolora.rng``.
 Its result types (``EndDeviceState``, ``WirelessFeatures``, ``EnergyReport``)
 are its own copies, so the oracle shares no result type with the code under
 test.  The differential test in ``test_sim_oracle.py`` requires the shipped
@@ -16,6 +18,7 @@ simulator to match it bit for bit.
 from __future__ import annotations
 
 import csv
+import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -26,8 +29,15 @@ import numpy as np
 from hydrolora.errors import NoDevices, NoGateways
 from hydrolora.inp import WaterNetwork
 from hydrolora.lora import EnergyModel, PropagationModel, RadioConfig, airtime, link_rssi_matrix
-from hydrolora.rng import substream
 from hydrolora.sim import TrafficModel
+
+
+def substream(*keys) -> np.random.Generator:
+    """The substream formula as numpy spells it, kept apart from ``hydrolora.rng``."""
+    text = "\x1f".join(str(k) for k in keys)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _smallest_feasible_sf(best_rssi_dbm: float, cfg: RadioConfig) -> tuple[int, bool]:

@@ -216,6 +216,17 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert (summary["k"], summary["strategy"], summary["seed"]) == (3, "degree_centrality", 9)
 
+    @pytest.mark.parametrize("command", [["simulate"], ["kpi", "--predicate", "energy_j<=1"]])
+    def test_no_uplinks_print_standard_json(self, capsys, config_file, command):
+        """At horizon 0 no uplink is sent, so the PDR is NaN: printed as null."""
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "horizon_s": 0}))
+        assert main([command[0], "--config", str(config_file), *command[1:]]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert (summary if command == ["simulate"] else summary["row"])["pdr"] is None
+
     def test_config_required_is_usage_error(self, capsys):
         assert main(["simulate"]) == 2
         assert "usage error:" in capsys.readouterr().err

@@ -176,6 +176,8 @@ def assert_same_kmeans(k, xy, weights, snap=False):
 @given(st.one_of(cases(), cases(ROUNDING)), st.booleans())
 # coincident seeds leave two clusters empty, so they are reseeded
 @example(case([(2, 2), (2, 2), (2, 2), (9, 9), (9, 9), (-4, 0)], [0.25, 0.25, 0.5, 1.0, 0.0, 0.5], 5, 1.0), False)
+# the third seed's cluster holds only zero-weight nodes, so its centre is their mean
+@example(case([(0, 0), (4, 0), (9, 9), (10, 9)], [1.0, 1.0, 0.0, 0.0], 3, 1.0), False)
 def test_kmeans_matches_oracle(p, snap):
     assert_same_kmeans(p["k"], xy_of(p), np.array(p["weights"]), snap)
 

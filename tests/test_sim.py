@@ -56,11 +56,16 @@ class TestSingleLink:
             assert dev.energy_j == expected  # exact: count times constant cost
             check_conservation(result)
 
-    def test_zero_horizon(self):
+    def test_zero_horizon(self, monkeypatch):
+        def no_state(*keys, last):
+            raise AssertionError("a substream state was derived with nothing to send")
+        monkeypatch.setattr("hydrolora.sim.substream_states", no_state)
         result = simulate(single_device_net(), [(10.0, 0.0)], horizon_s=0.0, seed=1)
         assert result.features.sent == 0
         assert result.energy.total_j == 0.0
         assert len(result.records) == 0
+        half_uplink = EnergyModel(initial_battery_j=0.5 * EnergyModel().tx_energy_j(14.0, airtime(7, RadioConfig())))
+        assert simulate(single_device_net(), [(10.0, 0.0)], energy_model=half_uplink, seed=1).features.sent == 0
 
     @pytest.mark.parametrize("horizon_s", [-1.0, math.nan, math.inf])
     def test_negative_or_non_finite_horizon_rejected(self, horizon_s):
