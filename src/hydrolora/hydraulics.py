@@ -28,6 +28,8 @@ from .errors import NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
 from .graph import Adjacency, CentralityVector
 from .inp import WaterNetwork
 
+_CHARS_PER_BLOCK = 1 << 20  # characters of CSV text split at a time, which bounds the memory of the fields
+
 
 @dataclass
 class HydraulicSeries:
@@ -61,22 +63,36 @@ class FlowWeight:
     weight: np.ndarray
 
 
-def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
-    """The header and the data fields, row after row, of CSV text that
-    ``csv.reader`` splits on "\n" and "," alone, with blank lines skipped.
+def _plain_blocks(text: str):
+    """The header, then the data fields of each block of lines, of CSV text
+    that ``csv.reader`` splits on "\n" and "," alone, with blank lines
+    skipped.  A block ends at the first "\n" at least ``_CHARS_PER_BLOCK``
+    characters after its start.
 
-    None when that does not hold or cannot be told cheaply: text with a
-    '"', "\r" or NUL, a line longer than csv's field size limit, or a data
-    row whose width differs from the header's.  ``str.splitlines`` would
-    split on more characters than ``csv.reader`` does.
+    Yields None, and stops, where that does not hold or cannot be told
+    cheaply: text with a '"', "\r" or NUL, a line longer than csv's field
+    size limit, or a data row whose width differs from the header's.
+    ``str.splitlines`` would split on more characters than ``csv.reader``
+    does.
     """
-    if not text or '"' in text or "\r" in text or "\x00" in text:
-        return None
-    lines = text.split("\n")
-    header, body = (lines[0].split(",") if lines[0] else []), list(filter(None, lines[1:]))
-    if max(map(len, lines)) > csv.field_size_limit() or set(map(str.count, body, repeat(","))) - {len(header) - 1}:
-        return None
-    return header, ",".join(body).split(",") if body else []
+    def line_end(at: int) -> int:
+        end = text.find("\n", at)
+        return len(text) if end < 0 else end
+
+    limit, end = csv.field_size_limit(), line_end(0)
+    if not text or '"' in text or "\r" in text or "\x00" in text or end > limit:
+        yield None
+        return
+    header = text[:end].split(",") if end else []
+    yield header
+    while end < len(text):  # text[end] is the "\n" before the next block
+        start, end = end + 1, line_end(end + 1 + _CHARS_PER_BLOCK)
+        lines = text[start:end].split("\n")
+        body = list(filter(None, lines))
+        if max(map(len, lines)) > limit or set(map(str.count, body, repeat(","))) - {len(header) - 1}:
+            yield None
+            return
+        yield ",".join(body).split(",") if body else []
 
 
 def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
@@ -86,24 +102,34 @@ def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, li
     float array per numeric column of ``required`` in order.  Fields are
     split as ``csv.reader`` splits them and numbers parsed by ``float``.  A
     file this does not accept raises the SchemaMismatch of ``_first_fault``.
+
+    Text that ``_plain_blocks`` can split is read a block of lines at a
+    time, so the field strings of one block are held at once, not those of
+    the whole file.  Any other text, or text with a block it cannot split,
+    goes through ``csv.reader`` in one pass.
     """
     with open(path, "rb") as handle:
         try:
             text = handle.read().decode("utf-8")
         except UnicodeDecodeError:
             raise _first_fault(path, required) from None
-    plain = _split_plain(text)
-    if plain is None:
+    blocks = _plain_blocks(text)
+    header = next(blocks)
+    read = None if header is None else _read_blocks(path, required, header, len(header), blocks)
+    if read is None:
         try:
             rows = list(csv.reader(io.StringIO(text, newline="")))
         except csv.Error:
             raise _first_fault(path, required) from None
         header, body = (rows[0] if rows else []), [row for row in rows[1:] if row]
         width = min(map(len, body), default=len(header))  # rows may be wider than the columns read
-        flat = [field for row in body for field in row[:width]]
-    else:
-        header, flat = plain
-        width = len(header)
+        read = _read_blocks(path, required, header, width, [[field for row in body for field in row[:width]]])
+    return read
+
+
+def _read_blocks(path, required: list[str], header: list[str], width: int, blocks):
+    """``_read_long_csv``'s result from the header and each block's fields,
+    ``width`` per row; None when a block is None."""
     if any(col not in header for col in required):
         raise _first_fault(path, required) from None
     id_pos = header.index(required[1])
@@ -111,15 +137,24 @@ def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, li
     if max(id_pos, *value_pos) >= width:  # a row too short for the columns read
         raise _first_fault(path, required) from None
 
-    ids = flat[id_pos::width]
-    try:
-        columns = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
-    except ValueError:
-        raise _first_fault(path, required) from None
-    if not all(np.isfinite(column).all() for column in columns):
-        raise _first_fault(path, required) from None
-    rank = {entity: i for i, entity in enumerate(dict.fromkeys(ids))}
-    return list(rank), np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)), columns
+    rank: dict[str, int] = {}
+    codes, columns = [np.zeros(0, dtype=np.int64)], [[np.zeros(0)] for _ in value_pos]
+    for flat in blocks:
+        if flat is None:
+            return None
+        ids = flat[id_pos::width]
+        try:
+            values = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
+        except ValueError:
+            raise _first_fault(path, required) from None
+        if not all(np.isfinite(column).all() for column in values):
+            raise _first_fault(path, required) from None
+        for entity in dict.fromkeys(ids):
+            rank.setdefault(entity, len(rank))
+        codes.append(np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)))
+        for column, value in zip(columns, values):
+            column.append(value)
+    return list(rank), np.concatenate(codes), [np.concatenate(column) for column in columns]
 
 
 def _first_fault(path, required: list[str]) -> SchemaMismatch:

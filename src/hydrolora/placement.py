@@ -22,6 +22,7 @@ DEGREE_CENTRALITY = "degree_centrality"
 GREEDY_COVERAGE = "greedy_coverage"
 STRATEGIES = (REGULAR_GRID, DEGREE_CENTRALITY, GREEDY_COVERAGE)
 KMEANS_MAX_ITER = 100
+_PAIRS_PER_BLOCK = 1 << 15  # candidate pairs handled at a time, which bounds the memory of neighbour lists
 
 
 @dataclass
@@ -198,16 +199,31 @@ def degree_centrality_deploy(
                       provenance={"snap_to_nodes": snap_to_nodes, "objective": previous_objective})
 
 
+def _row_blocks(ends: np.ndarray):
+    """Consecutive row ranges (start, stop) that each hold at most
+    ``_PAIRS_PER_BLOCK`` pairs, or one row; ``ends[i]`` counts the pairs
+    of the rows before row i."""
+    start = 0
+    while start < len(ends) - 1:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _PAIRS_PER_BLOCK, "right")) - 1)
+        yield start, stop
+        start = stop
+
+
 def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
     """CSR lists (indptr, indices) of the nodes j with
     ``((xy_i - xy_j) ** 2).sum() <= radius_m ** 2`` for each node i, itself
-    included, columns ascending.
+    included, columns ascending; ``indices`` is int32 when N < 2**31.
 
     Nodes are bucketed into square cells and candidates come from the 3x3
     cells around each node.  The cell side exceeds the radius by a 2**-16
     margin, which rounding in the cell arithmetic cannot eat, so two nodes
     that pass the test never sit two cells apart; it is also at least the
     span / 2**30, so cell keys stay far inside int64.
+
+    Rows are walked in blocks of at most ``_PAIRS_PER_BLOCK`` candidate
+    pairs, and each block sorts its own pair keys, so the memory above the
+    result is bounded by the block, not by N * deg.
     """
     n = len(node_xy)
     lo = node_xy.min(axis=0)
@@ -219,21 +235,30 @@ def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray
     key = cell[:, 0] * 2**31 + cell[:, 1]
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
+    # (9, n): where each node's candidates in each neighbouring cell start in
+    # ``order``, and how many there are
+    near = key + np.array([dx * 2**31 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])[:, None]
+    first = np.searchsorted(sorted_key, near, "left")
+    count = np.searchsorted(sorted_key, near, "right") - first
+    ends = np.concatenate([[0], np.cumsum(count.sum(axis=0))])
     x, y = node_xy[:, 0], node_xy[:, 1]
-    pair_keys = []
-    for offset in (dx * 2**31 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-        start = np.searchsorted(sorted_key, key + offset, "left")
-        count = np.searchsorted(sorted_key, key + offset, "right") - start
-        i = np.repeat(np.arange(n), count)
-        j = order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    column_type = np.int32 if n < 2**31 else np.int64
+    blocks = []
+    for a, b in _row_blocks(ends):
+        block_count = count[:, a:b].ravel()
+        i = np.repeat(np.tile(np.arange(a, b), 9), block_count)
+        j = order[np.arange(len(i)) + np.repeat(first[:, a:b].ravel() - np.cumsum(block_count) + block_count,
+                                                block_count)]
         dx, dy = x[i] - x[j], y[i] - y[j]
         keep = dx * dx + dy * dy <= radius_m * radius_m
-        pair_keys.append(i[keep] * n + j[keep])
-    indices = np.concatenate(pair_keys)
-    indices.sort()
-    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
-    indices %= n
-    return indptr, indices
+        pair_key = (i[keep] - a) * n + j[keep]
+        pair_key.sort()
+        indptr[a + 1:b + 1] = np.bincount(pair_key // n, minlength=b - a)
+        pair_key %= n
+        blocks.append(pair_key.astype(column_type))
+    np.cumsum(indptr, out=indptr)
+    return indptr, np.concatenate(blocks)
 
 
 def greedy_coverage_deploy(
@@ -282,7 +307,9 @@ def greedy_coverage_deploy(
     # term, summed in numpy; up to n terms below 2**62 / n cannot overflow.
     shift = max(0, max(units).bit_length() + n.bit_length() - 62)
     coarse = np.array([u >> shift for u in units], dtype=np.int64)
-    bound = np.add.reduceat(coarse[indices], indptr[:-1]) + np.diff(indptr)
+    bound = np.diff(indptr)
+    for a, b in _row_blocks(indptr):  # every row holds its own node, so none is empty
+        bound[a:b] += np.add.reduceat(coarse[indices[indptr[a]:indptr[b]]], indptr[a:b] - indptr[a])
     heap = [(-(b << shift), node) for node, b in enumerate(bound.tolist())]
     heapq.heapify(heap)
     starts = indptr.tolist()

@@ -1,5 +1,6 @@
-"""Reference oracles: the dense greedy max-coverage placement and the
-k-means placement with its N x K x 2 distance temporary.
+"""Reference oracles: the dense greedy max-coverage placement, the radius
+neighbour lists built with one global sort, and the k-means placement with
+its N x K x 2 distance temporary.
 
 ``greedy_coverage_deploy`` is as it stood before the lazy greedy over
 radius neighbour lists in ``hydrolora.placement`` replaced it, less the
@@ -8,6 +9,12 @@ squared-distance matrix, an N x N ``within`` mask, and one matrix-vector
 product per pick.  Its gains are BLAS sums, whose rounding depends on the
 kernel, so ``test_placement_oracle.py`` compares against it only on weights
 whose sums are exact in any order.
+
+``_radius_neighbours`` is kept verbatim from before the shipped one built
+its lists a block of rows at a time: every candidate pair of all nine cell
+offsets at once as int64 ``i``, ``j``, ``dx`` and ``dy``, and one sort of
+all N * deg pair keys.  The shipped lists must hold the same values, with
+int32 columns.
 
 ``degree_centrality_deploy`` is kept verbatim from before its Lloyd steps
 computed distances as ``dx * dx + dy * dy`` on (N, K) arrays and counted
@@ -55,6 +62,44 @@ def greedy_coverage_deploy(
     positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
     return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
                       provenance={"radius_m": radius_m})
+
+
+def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists (indptr, indices) of the nodes j with
+    ``((xy_i - xy_j) ** 2).sum() <= radius_m ** 2`` for each node i, itself
+    included, columns ascending.
+
+    Nodes are bucketed into square cells and candidates come from the 3x3
+    cells around each node.  The cell side exceeds the radius by a 2**-16
+    margin, which rounding in the cell arithmetic cannot eat, so two nodes
+    that pass the test never sit two cells apart; it is also at least the
+    span / 2**30, so cell keys stay far inside int64.
+    """
+    n = len(node_xy)
+    lo = node_xy.min(axis=0)
+    span = float((node_xy.max(axis=0) - lo).max())
+    if not math.isfinite(span):
+        raise ValueError("node coordinates and their extent must be finite")
+    side = max(radius_m * (1 + 2.0**-16), span / 2.0**30)
+    cell = np.floor((node_xy - lo) / side).astype(np.int64)
+    key = cell[:, 0] * 2**31 + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    x, y = node_xy[:, 0], node_xy[:, 1]
+    pair_keys = []
+    for offset in (dx * 2**31 + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        start = np.searchsorted(sorted_key, key + offset, "left")
+        count = np.searchsorted(sorted_key, key + offset, "right") - start
+        i = np.repeat(np.arange(n), count)
+        j = order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        keep = dx * dx + dy * dy <= radius_m * radius_m
+        pair_keys.append(i[keep] * n + j[keep])
+    indices = np.concatenate(pair_keys)
+    indices.sort()
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+    indices %= n
+    return indptr, indices
 
 
 def degree_centrality_deploy(

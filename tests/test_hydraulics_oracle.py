@@ -4,12 +4,18 @@
 columnar one replaced.  On every input the two must agree: either every
 ``HydraulicSeries`` field is bit-equal, ids in the same order, or both raise
 the same exception type with the same message.
+
+The shipped ingest splits text a block of lines at a time, so the fuzzer and
+the explicit cases also run with blocks of 0, 1 and 7 characters, which end
+at the first line end after them: a line or a few per block.
 """
 
 import csv
 import io
 import tempfile
+from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hydrolora import build_network, export_hydraulic_csv, ingest_hydraulic_csv, synthetic_wds, tokenize_inp
+from hydrolora import hydraulics
 from hydrolora.errors import HydroLoraError
 from tests import reference_hydraulics
 from tests.test_bench_contract import load_perfbench
@@ -48,6 +55,8 @@ TIMES = [("0", "-0"), ("1e3",), ("3600", "3600.0"), ("7200",)]
 GOOD = ["1", "-2.5", "0", "-0", "1e300", " 1.5", "1_0", "2.5 ", "1e-320"]
 BAD = ["nan", "inf", "-inf", "1e999", "x", "", "1__0"]
 
+SMALL_BLOCKS = pytest.mark.parametrize("chars", [0, 1, 7])  # a line or a few per block
+
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -68,6 +77,10 @@ def outcome(ingest, node_bytes, link_bytes, inp):
 def bits(array):
     array = np.asarray(array)
     return array.dtype.str, array.shape, array.tobytes()
+
+
+def blocks_of(chars):
+    return mock.patch.object(hydraulics, "_CHARS_PER_BLOCK", chars)
 
 
 def assert_same(node_bytes, link_bytes, inp=ORACLE_INP):
@@ -140,13 +153,25 @@ def long_csv(rnd, header, ids, grid):
     return data
 
 
-@FUZZ
-@given(st.randoms(use_true_random=True))
-def test_columnar_ingest_matches_oracle(rnd):
+def assert_same_on_random_files(rnd):
     """The two files share one grid, or now and then each has its own."""
     grid = random_grid(rnd)
     assert_same(long_csv(rnd, NODE_HEADER, NODE_IDS, grid),
                 long_csv(rnd, LINK_HEADER, LINK_IDS, grid if rnd.random() < 0.85 else random_grid(rnd)))
+
+
+@FUZZ
+@given(st.randoms(use_true_random=True))
+def test_columnar_ingest_matches_oracle(rnd):
+    assert_same_on_random_files(rnd)
+
+
+@SMALL_BLOCKS
+@FUZZ
+@given(st.randoms(use_true_random=True))
+def test_columnar_ingest_in_small_blocks_matches_oracle(chars, rnd):
+    with blocks_of(chars):
+        assert_same_on_random_files(rnd)
 
 
 NODES = "time_s,node_id,pressure,demand\n"
@@ -155,7 +180,7 @@ GOOD_NODES = NODES + '0,R1,50,0\n0,"a,""b",48,2\n3600,R1,49,0\n3600,"a,""b",47,2
 GOOD_LINKS = LINKS + '0,P1,10\n0,"p,""2",-3\n3600,P1,12\n3600,"p,""2",-4\n'
 
 
-@pytest.mark.parametrize("nodes,links", [
+EXPLICIT_CASES = pytest.mark.parametrize("nodes,links", [
     (GOOD_NODES, GOOD_LINKS),  # quoted ids holding "," and '"'
     (GOOD_NODES.replace("\n", "\r\n"), GOOD_LINKS),
     (GOOD_NODES.replace("\n", "\r"), GOOD_LINKS.replace("\n", "\r")),
@@ -187,8 +212,48 @@ GOOD_LINKS = LINKS + '0,P1,10\n0,"p,""2",-3\n3600,P1,12\n3600,"p,""2",-4\n'
     (NODES.replace("\n", ",note\n") + "0,R1,1,0," + "x" * 131073 + "\n", LINKS),  # field over csv's limit
     (GOOD_NODES.replace('"a,""b"', "J1").rstrip("\n"), GOOD_LINKS.rstrip("\n")),  # no final line end
 ])
+@EXPLICIT_CASES
 def test_explicit_case_matches_oracle(nodes, links):
     assert_same(nodes.encode("utf-8"), links.encode("utf-8"))
+
+
+@EXPLICIT_CASES
+@SMALL_BLOCKS
+def test_explicit_case_in_small_blocks_matches_oracle(nodes, links, chars):
+    with blocks_of(chars):
+        assert_same(nodes.encode("utf-8"), links.encode("utf-8"))
+
+
+def node_rows(id_major=False):
+    """Ten hourly rows for each of three ids, time-major or id-major."""
+    pairs = product(range(0, 36000, 3600), ("R1", "J1", "Jé"))
+    return [f"{t},{e},{40 + t % 7},1" for t, e in (sorted(pairs, key=lambda pair: pair[1]) if id_major else pairs)]
+
+
+ROWS = node_rows()
+
+
+@pytest.mark.parametrize("rows,plain", [
+    (ROWS[:-1] + [ROWS[-1] + ",9"], False),  # a wide row in the last block only: csv.reader reads the file
+    (ROWS[:-1] + [ROWS[-1].rpartition(",")[0]], None),  # a short row there
+    (ROWS[:-1] + ["32400,Jé,x,1"], None),  # a bad number in a later block
+    (ROWS[:-1] + ["32400,Jé,inf,1"], None),  # a non-finite value in a later block
+    (ROWS[:4] + ["0,R1,nan,1"] + ROWS[5:-1] + ["32400,Jé,-inf,1"], None),  # and one in the first
+    (node_rows(id_major=True), True),  # J1 and Jé first seen in later blocks
+    (["", *ROWS, "", ""], True),  # a blank line at each block edge
+])
+@pytest.mark.parametrize("chars", [hydraulics._CHARS_PER_BLOCK, 0, 1, 7, 64])
+def test_block_edges_match_oracle(rows, plain, chars):
+    """Faults, a width change, new ids and blank lines in blocks after the
+    first.  An accepted file is split by the blocks (``plain``) or, where a
+    block has another width, by ``csv.reader``."""
+    nodes = (NODES + "\n".join(rows) + "\n").encode("utf-8")
+    with blocks_of(chars):
+        assert_same(nodes, LINKS.encode())
+        with mock.patch.object(hydraulics.csv, "reader", wraps=csv.reader) as reader:
+            got = outcome(ingest_hydraulic_csv, nodes, LINKS.encode(), ORACLE_INP)
+    if plain is not None:
+        assert not isinstance(got, tuple) and reader.called != plain
 
 
 @pytest.mark.parametrize("at", [len(NODES) + 3, 20_000])

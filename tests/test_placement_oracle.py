@@ -6,6 +6,10 @@ are compared on dyadic weights, whose sums are exact in any order: ties are
 then true ties and both must pick the lowest index among them.  On weights
 whose sums round, an exact rational oracle stands in for the dense code.
 
+It keeps the radius neighbour lists built with one global sort of every
+pair key.  The shipped lists, built a block of rows at a time, must hold the
+same values with int32 columns, also with blocks of one or a few rows.
+
 It also keeps the k-means with its N x K x 2 distance temporary.  Its
 arithmetic has no BLAS in it, so the shipped k-means must match it bit for
 bit on any weights, the 420-node acceptance network and the 4419-node
@@ -16,6 +20,7 @@ computed from that (N, K, 2) temporary bit for bit.
 
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from hydrolora import (
     synthetic_wds,
     tokenize_inp,
 )
+from hydrolora import placement
 from hydrolora.errors import AllZeroWeights
 from hydrolora.placement import _radius_neighbours
 from hydrolora.rng import substream
@@ -46,6 +52,8 @@ from tests.test_acceptance import FIXTURE, SWEEP_KS
 DYADIC = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0)
 # sums that round, near ties (0.1 + 0.2 vs 0.3) and a 2**2000 range
 ROUNDING = (0.0, 0.1, 0.2, 0.3, 0.7, 5e-324, 1e-300, 1e300)
+# one block for these small cases, then a row or a few rows per block
+PAIRS_PER_BLOCK = (placement._PAIRS_PER_BLOCK, 1, 5)
 
 
 def dense_within(xy, radius_m):
@@ -108,16 +116,39 @@ def test_lazy_greedy_matches_dense_greedy(p):
     for i, row in enumerate(within):
         assert indices[indptr[i]:indptr[i + 1]].tolist() == np.flatnonzero(row).tolist()
 
+    for pairs_per_block in PAIRS_PER_BLOCK:
+        with mock.patch.object(placement, "_PAIRS_PER_BLOCK", pairs_per_block):
+            assert_same_neighbours(xy, p["radius_m"])
+
     args = (p["k"], xy, weights, p["radius_m"])
     if weights.sum() == 0:
         for deploy in (greedy_coverage_deploy, reference_placement.greedy_coverage_deploy):
             with pytest.raises(AllZeroWeights):
                 deploy(*args)
         return
-    got = greedy_coverage_deploy(*args)
     want = reference_placement.greedy_coverage_deploy(*args)
-    assert got.positions == want.positions
-    assert got.provenance == want.provenance and got.k == want.k
+    for pairs_per_block in PAIRS_PER_BLOCK:
+        with mock.patch.object(placement, "_PAIRS_PER_BLOCK", pairs_per_block):
+            got = greedy_coverage_deploy(*args)
+        assert got.positions == want.positions
+        assert got.provenance == want.provenance and got.k == want.k
+
+
+def assert_same_neighbours(xy, radius_m):
+    """The shipped neighbour lists equal the one-sort oracle's, columns int32."""
+    indptr, indices = _radius_neighbours(xy, radius_m)
+    want_indptr, want_indices = reference_placement._radius_neighbours(xy, radius_m)
+    assert indices.dtype == np.int32
+    assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
+
+
+@pytest.mark.parametrize("fixture,radius_m", [
+    *((fixture, radius_m) for fixture in (FIXTURE, dict(n_nodes=4419, n_reservoirs=3, seed=0))
+      for radius_m in (500.0, 1000.0, 2000.0)),
+    (dict(n_nodes=9000, n_reservoirs=3, seed=0), 1000.0),  # 13.4 M candidate pairs, 207 blocks
+])
+def test_neighbour_lists_match_oracle_on_fixtures(fixture, radius_m):
+    assert_same_neighbours(build_network(tokenize_inp(synthetic_wds(**fixture))).coordinates(), radius_m)
 
 
 def exact_greedy(k, xy, weights, radius_m):
