@@ -90,6 +90,10 @@ class NoSource(HydroLoraError):
     """The network has no reservoir or tank to route demand to."""
 
 
+class NonFiniteFlow(HydroLoraError):
+    """A node's flow overflowed to a non-finite value."""
+
+
 # Radio / simulation
 
 

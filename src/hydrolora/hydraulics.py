@@ -15,8 +15,8 @@ must be a finite number.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -24,11 +24,11 @@ from itertools import repeat
 import numpy as np
 
 from .csvio import floats, text, write_csv
-from .errors import NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
+from .errors import NonFiniteFlow, NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
 from .graph import Adjacency, CentralityVector
 from .inp import WaterNetwork
 
-_CHARS_PER_BLOCK = 1 << 20  # characters of CSV text split at a time, which bounds the memory of the fields
+_CHARS_PER_BLOCK = 1 << 20  # bytes of CSV read, split and parsed at a time, which bounds the memory of the fields
 
 
 @dataclass
@@ -63,137 +63,120 @@ class FlowWeight:
     weight: np.ndarray
 
 
-def _plain_blocks(text: str):
-    """The header, then the data fields of each block of lines, of CSV text
-    that ``csv.reader`` splits on "\n" and "," alone, with blank lines
-    skipped.  A block ends at the first "\n" at least ``_CHARS_PER_BLOCK``
-    characters after its start.
-
-    Yields None, and stops, where that does not hold or cannot be told
-    cheaply: text with a '"', "\r" or NUL, a line longer than csv's field
-    size limit, or a data row whose width differs from the header's.
-    ``str.splitlines`` would split on more characters than ``csv.reader``
-    does.
-    """
-    def line_end(at: int) -> int:
-        end = text.find("\n", at)
-        return len(text) if end < 0 else end
-
-    limit, end = csv.field_size_limit(), line_end(0)
-    if not text or '"' in text or "\r" in text or "\x00" in text or end > limit:
-        yield None
-        return
-    header = text[:end].split(",") if end else []
-    yield header
-    while end < len(text):  # text[end] is the "\n" before the next block
-        start, end = end + 1, line_end(end + 1 + _CHARS_PER_BLOCK)
-        lines = text[start:end].split("\n")
-        body = list(filter(None, lines))
-        if max(map(len, lines)) > limit or set(map(str.count, body, repeat(","))) - {len(header) - 1}:
-            yield None
-            return
-        yield ",".join(body).split(",") if body else []
-
-
 def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     """Read a long-format CSV column by column.
 
     Returns the ids in first-seen order, each row's index into them, and one
     float array per numeric column of ``required`` in order.  Fields are
-    split as ``csv.reader`` splits them and numbers parsed by ``float``.  A
-    file this does not accept raises the SchemaMismatch of ``_first_fault``.
+    split as ``csv.reader`` splits them and numbers parsed by ``float``.
 
-    Text that ``_plain_blocks`` can split is read a block of lines at a
-    time, so the field strings of one block are held at once, not those of
-    the whole file.  Any other text, or text with a block it cannot split,
-    goes through ``csv.reader`` in one pass.
+    ``_read_plain`` reads plain text, "\\n" or "\\r\\n" line ends, a block of
+    bytes at a time; every other file, and every file with a fault, is read
+    by ``_read_rows``, which raises the SchemaMismatch of the first fault.
     """
-    with open(path, "rb") as handle:
+    read = _read_plain(path, required)
+    return read if read is not None else _read_rows(path, required)
+
+
+def _read_plain(path, required: list[str]):
+    """``_read_long_csv``'s result, read a block of lines at a time, for text
+    whose lines ``csv.reader`` splits on "," alone; None for any other file
+    and at the first fault, which ``_read_rows`` then words.
+
+    A block is ``_CHARS_PER_BLOCK`` bytes and the rest of their last line, so
+    it never splits a UTF-8 sequence, and its "\\r\\n" become "\\n".  None at
+    a '"', a lone "\\r", a NUL, bytes that are not UTF-8, a line longer than
+    csv's field size limit, a data row whose width differs from the
+    header's, a missing column, a bad number or a non-finite value.
+    """
+    limit = csv.field_size_limit()
+
+    def lines_of(block: bytes) -> list[str] | None:
         try:
-            text = handle.read().decode("utf-8")
+            text = block.decode("utf-8").replace("\r\n", "\n")
         except UnicodeDecodeError:
-            raise _first_fault(path, required) from None
-    blocks = _plain_blocks(text)
-    header = next(blocks)
-    read = None if header is None else _read_blocks(path, required, header, len(header), blocks)
-    if read is None:
-        try:
-            rows = list(csv.reader(io.StringIO(text, newline="")))
-        except csv.Error:
-            raise _first_fault(path, required) from None
-        header, body = (rows[0] if rows else []), [row for row in rows[1:] if row]
-        width = min(map(len, body), default=len(header))  # rows may be wider than the columns read
-        read = _read_blocks(path, required, header, width, [[field for row in body for field in row[:width]]])
-    return read
-
-
-def _read_blocks(path, required: list[str], header: list[str], width: int, blocks):
-    """``_read_long_csv``'s result from the header and each block's fields,
-    ``width`` per row; None when a block is None."""
-    if any(col not in header for col in required):
-        raise _first_fault(path, required) from None
-    id_pos = header.index(required[1])
-    value_pos = [header.index(col) for col in required if col != required[1]]
-    if max(id_pos, *value_pos) >= width:  # a row too short for the columns read
-        raise _first_fault(path, required) from None
-
-    rank: dict[str, int] = {}
-    codes, columns = [np.zeros(0, dtype=np.int64)], [[np.zeros(0)] for _ in value_pos]
-    for flat in blocks:
-        if flat is None:
             return None
-        ids = flat[id_pos::width]
-        try:
-            values = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
-        except ValueError:
-            raise _first_fault(path, required) from None
-        if not all(np.isfinite(column).all() for column in values):
-            raise _first_fault(path, required) from None
-        for entity in dict.fromkeys(ids):
-            rank.setdefault(entity, len(rank))
-        codes.append(np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)))
-        for column, value in zip(columns, values):
-            column.append(value)
+        lines = text.split("\n")  # str.splitlines would split on more than csv.reader does
+        if '"' in text or "\r" in text or "\x00" in text or max(map(len, lines)) > limit:
+            return None
+        return lines
+
+    with open(path, "rb") as handle:
+        lines = lines_of(handle.readline())
+        header = lines[0].split(",") if lines is not None else []
+        if any(col not in header for col in required):
+            return None
+        width = len(header)
+        id_pos = header.index(required[1])
+        value_pos = [header.index(col) for col in required if col != required[1]]
+        rank: dict[str, int] = {}
+        codes, columns = [np.zeros(0, dtype=np.int64)], [[np.zeros(0)] for _ in value_pos]
+        while block := handle.read(_CHARS_PER_BLOCK) + handle.readline():
+            lines = lines_of(block)
+            if lines is None:
+                return None
+            body = list(filter(None, lines))
+            if set(map(str.count, body, repeat(","))) - {width - 1}:
+                return None
+            flat = ",".join(body).split(",") if body else []
+            ids = flat[id_pos::width]
+            try:
+                values = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
+            except ValueError:
+                return None
+            if not all(np.isfinite(column).all() for column in values):
+                return None
+            for entity in dict.fromkeys(ids):
+                rank.setdefault(entity, len(rank))
+            codes.append(np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)))
+            for column, value in zip(columns, values):
+                column.append(value)
     return list(rank), np.concatenate(codes), [np.concatenate(column) for column in columns]
 
 
-def _first_fault(path, required: list[str]) -> SchemaMismatch:
-    """Re-read a file that ``_read_long_csv`` did not accept, row by row, and
-    return the SchemaMismatch of its first fault.
+def _read_rows(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """``_read_long_csv``'s result, read row by row with ``csv.reader``, or the
+    SchemaMismatch of the file's first fault.
 
-    The checks run in the order of a row-by-row read: the header, then each
-    row's width, numbers and CSV syntax (UTF-8 is decoded in blocks, so a bad
-    byte names no line), then, for the first id in first-seen order that has
-    one, the line of its first non-finite value.
+    The checks run in row order: the header, then each row's width, numbers
+    and CSV syntax (UTF-8 is decoded in blocks, so a bad byte names no line),
+    then, for the first id in first-seen order that has one, the line of its
+    first non-finite value.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None:
-                return SchemaMismatch(f"{path}: empty file, header row required")
+                raise SchemaMismatch(f"{path}: empty file, header row required")
             missing = [col for col in required if col not in header]
             if missing:
-                return SchemaMismatch(f"{path}: missing required column(s) {missing}")
+                raise SchemaMismatch(f"{path}: missing required column(s) {missing}")
             id_pos = header.index(required[1])
             value_pos = [header.index(col) for col in required if col != required[1]]
-            non_finite: dict[str, int | None] = {}
+            rank: dict[str, int] = {}
+            non_finite: dict[int, int] = {}  # an id's code, then the line of its first non-finite value
+            codes, values = array("q"), array("d")
             for row in reader:
                 if row:
-                    entity = row[id_pos]
-                    values = [float(row[p]) for p in value_pos]
-                    if non_finite.setdefault(entity, None) is None and not all(map(math.isfinite, values)):
-                        non_finite[entity] = reader.line_num
+                    code = rank.setdefault(row[id_pos], len(rank))
+                    row_values = [float(row[p]) for p in value_pos]
+                    if not all(map(math.isfinite, row_values)):
+                        non_finite.setdefault(code, reader.line_num)
+                    codes.append(code)
+                    values.extend(row_values)
         except IndexError:
-            return SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), header has {len(header)}")
+            raise SchemaMismatch(f"{path}, line {reader.line_num}: {len(row)} field(s), "
+                                 f"header has {len(header)}") from None
         except UnicodeDecodeError as exc:
-            return SchemaMismatch(f"{path}: not valid UTF-8: {exc}")
+            raise SchemaMismatch(f"{path}: not valid UTF-8: {exc}") from None
         except (ValueError, csv.Error) as exc:
-            return SchemaMismatch(f"{path}, line {reader.line_num}: {exc}")
-    for entity, line in non_finite.items():
-        if line is not None:
-            return SchemaMismatch(f"{path}, line {line}: non-finite value for {entity!r}")
-    raise AssertionError(f"{path}: the row-by-row read accepts a file the columnar read rejected")
+            raise SchemaMismatch(f"{path}, line {reader.line_num}: {exc}") from None
+    if non_finite:
+        code = min(non_finite)
+        raise SchemaMismatch(f"{path}, line {non_finite[code]}: non-finite value for {list(rank)[code]!r}")
+    table = np.array(values, dtype=np.float64).reshape(len(codes), len(value_pos))
+    return list(rank), np.array(codes, dtype=np.int64), list(table.T)
 
 
 def _series_grid(path, entities: list[str], codes: np.ndarray, columns: list[np.ndarray]) -> list[np.ndarray]:
@@ -252,9 +235,10 @@ def ingest_hydraulic_csv(node_csv, link_csv, net: WaterNetwork) -> HydraulicSeri
     # Each link's mean absolute flow goes to its from node, then its to node,
     # link by link in flow-file order.
     links = net.links[[link_row[link_id] for link_id in link_ids]]
-    mean_abs = np.abs(flow).mean(axis=1) if link_ids else np.zeros(0)
     node_flow = np.zeros(net.node_count, dtype=np.float64)
-    np.add.at(node_flow, np.stack([links.from_index, links.to_index], axis=1).ravel(), np.repeat(mean_abs, 2))
+    with np.errstate(over="ignore"):  # placement_weights rejects a sum past the float range
+        mean_abs = np.abs(flow).mean(axis=1) if link_ids else np.zeros(0)
+        np.add.at(node_flow, np.stack([links.from_index, links.to_index], axis=1).ravel(), np.repeat(mean_abs, 2))
     node_flow /= 2.0
 
     return HydraulicSeries(timestamps=grid, pressure=dict(zip(node_ids, pressure)),
@@ -312,10 +296,11 @@ def flow_proxy(net: WaterNetwork, adj: Adjacency, weight_by_length: bool = False
                     queue.append(int(v))
 
     values = np.where(seen, net.demands(), 0.0)
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            values[p] += values[v]
+    with np.errstate(over="ignore", invalid="ignore"):  # placement_weights rejects the non-finite sums
+        for v in reversed(order):
+            p = parent[v]
+            if p >= 0:
+                values[p] += values[v]
 
     unreachable = net.nodes.id[~seen & (net.nodes.base_demand > 0)].tolist()
     return ProxyFlow(values=values, unreachable=unreachable)
@@ -360,13 +345,17 @@ def placement_weights(cv: CentralityVector, flows: np.ndarray, alpha: float = 0.
     """Blend centrality and flow into per-node placement weights.
 
     Both terms are max-normalized to [0, 1] and combined convexly:
-    weight = alpha * centrality_norm + (1 - alpha) * flow_norm.
+    weight = alpha * centrality_norm + (1 - alpha) * flow_norm.  A
+    non-finite flow (either route's sums can overflow) raises NonFiniteFlow.
     """
     flows = np.asarray(flows, dtype=np.float64)
     if len(flows) != len(cv.centrality):
         raise ValueError(f"flow vector length {len(flows)} != node count {len(cv.centrality)}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    non_finite = np.flatnonzero(~np.isfinite(flows))
+    if len(non_finite):
+        raise NonFiniteFlow(f"flow at node {cv.node_ids[non_finite[0]]!r} is not finite: {flows[non_finite[0]]}")
 
     c_max = float(cv.centrality.max())
     c_norm = cv.centrality / c_max if c_max > 0 else np.zeros_like(cv.centrality)

@@ -71,6 +71,8 @@ def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> Gate
         raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
     x_min, y_min, x_max, y_max = bbox
     width, height = x_max - x_min, y_max - y_min
+    if not all(map(math.isfinite, (x_min, y_min, width, height))):
+        raise ValueError(f"bounding box and its extent must be finite, got {tuple(bbox)!r}")
     if width == 0 and height == 0:
         raise DegenerateBBox("bounding box has zero extent on both axes")
 
@@ -85,6 +87,26 @@ def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> Gate
             )
     return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions,
                       provenance={"rows": rows, "cols": cols, "bbox": list(bbox)})
+
+
+def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
+    """``node_xy`` and ``weights`` as float arrays, after both node strategies'
+    checks: K, finite coordinates and extent, finite nonnegative weights with a positive sum."""
+    node_xy = np.asarray(node_xy, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not isinstance(k, int) or k < 1:
+        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
+    if k > len(node_xy):
+        raise KExceedsN(f"K={k} exceeds node count {len(node_xy)}")
+    with np.errstate(over="ignore"):
+        span = float((node_xy.max(axis=0) - node_xy.min(axis=0)).max())
+    if not math.isfinite(span):
+        raise ValueError("node coordinates and their extent must be finite")
+    if not np.all((weights >= 0) & (weights < math.inf)):
+        raise ValueError("weights must be finite and nonnegative")
+    if weights.sum() <= 0:
+        raise AllZeroWeights("placement weights sum to zero")
+    return node_xy, weights
 
 
 def _farthest_point_seeds(xy: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
@@ -134,17 +156,8 @@ def degree_centrality_deploy(
     node with the largest weight * squared-distance to its current center.
     Nothing here is random.
     """
-    node_xy = np.asarray(node_xy, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    node_xy, weights = _node_inputs(k, node_xy, weights)
     n = len(node_xy)
-    if not isinstance(k, int) or k < 1:
-        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
-    if k > n:
-        raise KExceedsN(f"K={k} exceeds node count {n}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    if weights.sum() <= 0:
-        raise AllZeroWeights("placement weights sum to zero")
 
     diag = math.hypot(node_xy[:, 0].max() - node_xy[:, 0].min(),
                       node_xy[:, 1].max() - node_xy[:, 1].min())
@@ -213,7 +226,8 @@ def _row_blocks(ends: np.ndarray):
 def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
     """CSR lists (indptr, indices) of the nodes j with
     ``((xy_i - xy_j) ** 2).sum() <= radius_m ** 2`` for each node i, itself
-    included, columns ascending; ``indices`` is int32 when N < 2**31.
+    included, columns ascending; ``indices`` is int32 when N < 2**31.  The
+    coordinates and their extent are finite (``_node_inputs``).
 
     Nodes are bucketed into square cells and candidates come from the 3x3
     cells around each node.  The cell side exceeds the radius by a 2**-16
@@ -228,8 +242,6 @@ def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray
     n = len(node_xy)
     lo = node_xy.min(axis=0)
     span = float((node_xy.max(axis=0) - lo).max())
-    if not math.isfinite(span):
-        raise ValueError("node coordinates and their extent must be finite")
     side = max(radius_m * (1 + 2.0**-16), span / 2.0**30)
     cell = np.floor((node_xy - lo) / side).astype(np.int64)
     key = cell[:, 0] * 2**31 + cell[:, 1]
@@ -283,19 +295,10 @@ def greedy_coverage_deploy(
     of the heap is recomputed.  The picks equal those of recomputing every
     gain in every round.
     """
-    node_xy = np.asarray(node_xy, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    node_xy, weights = _node_inputs(k, node_xy, weights)
     n = len(node_xy)
-    if not isinstance(k, int) or k < 1:
-        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
-    if k > n:
-        raise KExceedsN(f"K={k} exceeds node count {n}")
     if not 0 < radius_m < math.inf:
         raise ValueError(f"radius_m must be finite and positive, got {radius_m!r}")
-    if not np.all((weights >= 0) & (weights < math.inf)):
-        raise ValueError("weights must be finite and nonnegative")
-    if weights.sum() <= 0:
-        raise AllZeroWeights("placement weights sum to zero")
 
     indptr, indices = _radius_neighbours(node_xy, radius_m)
     # Weights as exact integers: each is a multiple of 1 / unit, unit being

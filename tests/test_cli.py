@@ -127,6 +127,31 @@ class TestWeights:
         assert captured.err.startswith(f"error: SchemaMismatch: {nodes}, line 2: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("route", ["ingest", "proxy"])
+    @pytest.mark.parametrize("argv", [["weights"], ["place", "--k", "2", "--strategy", "greedy"],
+                                      ["place", "--k", "2", "--strategy", "centrality"]])
+    def test_overflowing_flow_is_one_error_line(self, capsys, tmp_path, route, argv):
+        """Flows summed past the float range are rejected before any weight is
+        made of them, without a numpy warning."""
+        inp = tmp_path / "chain.inp"
+        nodes, links = tmp_path / "nodes.csv", tmp_path / "links.csv"
+        if route == "ingest":  # J1 sums the flows of P1 and P2
+            inp.write_text(CHAIN_INP)
+            nodes.write_text("time_s,node_id,pressure,demand\n0,J1,50,1\n")
+            links.write_text("time_s,link_id,flow\n0,P1,1e308\n0,P2,1e308\n")
+            argv = [argv[0], str(inp), *argv[1:], "--hydraulic", str(nodes), str(links)]
+            first = "J1"
+        else:  # J2's demand reaches R1 through J1
+            inp.write_text(CHAIN_INP.replace("J1  100  1", "J1  100  1e308").replace("J2  95   2", "J2  95   1e308"))
+            argv = [argv[0], str(inp), *argv[1:]]
+            first = "R1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: NonFiniteFlow: flow at node {first!r} is not finite: inf\n"
+
 
 class TestPlace:
     @pytest.mark.parametrize("snap", [False, True])

@@ -11,7 +11,7 @@ from hydrolora import (
     ingest_hydraulic_csv,
     placement_weights,
 )
-from hydrolora.errors import NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
+from hydrolora.errors import NonFiniteFlow, NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
 from hydrolora.rng import substream
 from tests.conftest import make_network
 
@@ -263,3 +263,10 @@ class TestPlacementWeights:
         cv, flows = self.fixture_cv_flows()
         with pytest.raises(ValueError):
             placement_weights(cv, flows, alpha=1.5)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_flow_rejected(self, bad):
+        cv, flows = self.fixture_cv_flows()
+        flows[[3, 6]] = bad
+        with pytest.raises(NonFiniteFlow, match=f"^flow at node {cv.node_ids[3]!r} is not finite: {bad}$"):
+            placement_weights(cv, flows, alpha=0.5)

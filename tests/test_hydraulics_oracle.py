@@ -5,9 +5,12 @@ columnar one replaced.  On every input the two must agree: either every
 ``HydraulicSeries`` field is bit-equal, ids in the same order, or both raise
 the same exception type with the same message.
 
-The shipped ingest splits text a block of lines at a time, so the fuzzer and
-the explicit cases also run with blocks of 0, 1 and 7 characters, which end
-at the first line end after them: a line or a few per block.
+The shipped ingest has two readers.  Plain text with "\n" or "\r\n" line
+ends is read a block of bytes at a time; every other file, and every file
+with a fault, is read row by row with ``csv.reader``, which words the
+error.  So the fuzzer and the explicit cases also run with blocks of 0, 1
+and 7 bytes, which end at the first line end after them: a line or a few
+per block.
 """
 
 import csv
@@ -241,12 +244,13 @@ ROWS = node_rows()
     (ROWS[:4] + ["0,R1,nan,1"] + ROWS[5:-1] + ["32400,Jé,-inf,1"], None),  # and one in the first
     (node_rows(id_major=True), True),  # J1 and Jé first seen in later blocks
     (["", *ROWS, "", ""], True),  # a blank line at each block edge
+    ([row + "\r" for row in ROWS], True),  # CRLF line ends
 ])
 @pytest.mark.parametrize("chars", [hydraulics._CHARS_PER_BLOCK, 0, 1, 7, 64])
 def test_block_edges_match_oracle(rows, plain, chars):
-    """Faults, a width change, new ids and blank lines in blocks after the
-    first.  An accepted file is split by the blocks (``plain``) or, where a
-    block has another width, by ``csv.reader``."""
+    """Faults, a width change, new ids, blank lines and CRLF line ends in
+    blocks after the first.  An accepted file is split by the blocks
+    (``plain``) or, where a block has another width, by ``csv.reader``."""
     nodes = (NODES + "\n".join(rows) + "\n").encode("utf-8")
     with blocks_of(chars):
         assert_same(nodes, LINKS.encode())

@@ -1,6 +1,8 @@
 """Placement strategy tests: grid layout, weighted k-means, and properties
 shared by both (count, determinism, translation equivariance)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,33 @@ class TestGreedyCoverage:
         xy[2, 1] = float("nan")
         with pytest.raises(ValueError, match="coordinates"):
             greedy_coverage_deploy(3, xy, weights, radius_m=10.0)
+
+
+class TestNonFiniteInputs:
+    """Both node strategies share one input check, and the grid checks its
+    bbox: a non-finite input raises ValueError, never a NaN gateway."""
+
+    XY = np.array([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (6.0, 5.0)])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected_by_kmeans(self, bad):  # greedy: TestGreedyCoverage
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            degree_centrality_deploy(2, self.XY, np.array([1.0, bad, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("deploy", [degree_centrality_deploy, greedy_coverage_deploy])
+    @pytest.mark.parametrize("xy", [[(float("nan"), 0.0), (1, 0), (5, 5), (6, 5)],
+                                    [(-1e308, 0.0), (1e308, 0.0), (5, 5), (6, 5)]])  # the extent overflows
+    def test_non_finite_coordinates_rejected(self, deploy, xy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^node coordinates and their extent must be finite$"):
+                deploy(2, np.array(xy), np.ones(4))
+
+    @pytest.mark.parametrize("bbox", [(0.0, 0.0, float("nan"), 1.0), (float("-inf"), 0.0, 1.0, 1.0),
+                                      (-1e308, 0.0, 1e308, 1.0)])
+    def test_non_finite_bbox_rejected(self, bbox):
+        with pytest.raises(ValueError, match="^bounding box and its extent must be finite"):
+            regular_grid_deploy(2, bbox)
 
 
 class TestDispatchAndExport:
