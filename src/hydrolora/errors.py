@@ -64,6 +64,10 @@ class SelfLoop(HydroLoraError):
         self.link_id = link_id
 
 
+class CoordinateOverflow(HydroLoraError):
+    """Squared distances across the network's extent overflow float64."""
+
+
 # Graph
 
 

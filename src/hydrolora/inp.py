@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    CoordinateOverflow,
     DanglingEndpoint,
     DuplicateId,
     MalformedRow,
@@ -186,7 +187,8 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     resolved to node row indices here.  Rows in [DEMANDS] add to the
     junction's base demand (demand categories sum).  Self-loops are rejected;
     every node must have a coordinate entry.  Numbers must be finite, and so
-    must every coordinate after scaling.
+    must every coordinate after scaling and the squared diagonal of the bbox,
+    which bounds every squared distance placement and the link budget take.
     """
     if not 0 < coordinate_scale < math.inf:
         raise ConfigError(f"coordinate_scale must be finite and positive, got {coordinate_scale}")
@@ -286,6 +288,9 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     table = np.array(rows, dtype=NODE_DTYPE).view(np.recarray)
     xs, ys = table.position.T.tolist()  # Python min/max: the first of 0.0 and -0.0 wins
     bbox = (min(xs), min(ys), max(xs), max(ys))
+    width, height = bbox[2] - bbox[0], bbox[3] - bbox[1]
+    if not math.isfinite(width * width + height * height):  # Python floats: inf, no warning
+        raise CoordinateOverflow(f"the squared diagonal of the coordinates' bbox {bbox} overflows")
     return WaterNetwork(nodes=table, links=np.array(links, dtype=LINK_DTYPE).view(np.recarray),
                         bbox=bbox, warnings=warnings)
 

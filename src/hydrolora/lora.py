@@ -140,9 +140,14 @@ class PropagationModel:
 
 
 def path_loss_db(distance_m, model: PropagationModel = PropagationModel()):
-    """Deterministic path loss in dB; distances are clamped to 1 m."""
-    d = np.maximum(np.asarray(distance_m, dtype=np.float64), 1.0)
-    loss = model.ref_loss_db + 10.0 * model.exponent * np.log10(d / model.ref_distance_m)
+    """Deterministic path loss in dB; distances are clamped to 1 m.  Works in
+    place on one copy of the distances."""
+    loss = np.array(distance_m, dtype=np.float64)
+    np.maximum(loss, 1.0, out=loss)
+    loss /= model.ref_distance_m
+    np.log10(loss, out=loss)
+    loss *= 10.0 * model.exponent
+    loss += model.ref_loss_db
     return float(loss) if np.isscalar(distance_m) else loss
 
 
@@ -165,8 +170,8 @@ def link_rssi_matrix(
     np.sqrt(distance, out=distance)
     loss = path_loss_db(distance, model)
     if shadowing_db is not None:
-        loss = loss + shadowing_db
-    return cfg.tx_power_dbm - loss
+        loss += shadowing_db
+    return np.subtract(cfg.tx_power_dbm, loss, out=loss)
 
 
 def assign_sfs(best_rssi_dbm, cfg: RadioConfig) -> tuple[np.ndarray, np.ndarray]:

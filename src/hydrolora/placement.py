@@ -91,7 +91,8 @@ def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> Gate
 
 def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
     """``node_xy`` and ``weights`` as float arrays, after both node strategies'
-    checks: K, finite coordinates and extent, finite nonnegative weights with a positive sum."""
+    checks: K, finite coordinates, extent and squared extent, finite nonnegative
+    weights with a positive sum."""
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if not isinstance(k, int) or k < 1:
@@ -99,9 +100,11 @@ def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
     if k > len(node_xy):
         raise KExceedsN(f"K={k} exceeds node count {len(node_xy)}")
     with np.errstate(over="ignore"):
-        span = float((node_xy.max(axis=0) - node_xy.min(axis=0)).max())
-    if not math.isfinite(span):
+        width, height = (node_xy.max(axis=0) - node_xy.min(axis=0)).tolist()
+    if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError("node coordinates and their extent must be finite")
+    if not math.isfinite(width * width + height * height):  # bounds every squared distance k-means takes
+        raise ValueError("the squared extent of the node coordinates must be finite")
     if not np.all((weights >= 0) & (weights < math.inf)):
         raise ValueError("weights must be finite and nonnegative")
     if weights.sum() <= 0:

@@ -14,6 +14,11 @@ sequential cumulative sum of ``max(gap, airtime / duty_cycle_limit)`` (the
 first start is not floored), exactly ``max(t + gap, t + floor)`` per uplink
 since rounding is monotone.  A device stops at the horizon or when its
 battery cannot afford another uplink, and draws more blocks while it can go on.
+Devices are walked ``_DEVICES_PER_BLOCK`` at a time, so the round arrays stay
+that many rows tall.  Channel picks are computed from raw PCG64 words by
+numpy's own Lemire rule for ``integers``; a device whose round rejects a draw,
+or starts with half a word buffered, is redrawn through ``integers`` itself,
+so every stream is the one the documented calls give.
 
 Reception model, first order: a gateway hears a copy of an uplink iff the
 static link RSSI clears the SF sensitivity.  Uplinks are ordered by start
@@ -48,6 +53,7 @@ from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sf
 from .rng import substream, substream_states
 
 ROUND = 256  # draws per block: the unit in which a device consumes its substream
+_DEVICES_PER_BLOCK = 256  # devices whose rounds are drawn at a time, which bounds the memory of the round arrays
 OUTCOMES = ("delivered", "no_coverage", "collided")
 BATTERY_SAMPLE_S = 3600.0  # battery.csv is hourly
 
@@ -150,56 +156,85 @@ class SimulationResult:
 
 def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndarray,
              max_sends: np.ndarray, horizon_s: float):
-    """Start times, device indices and channel picks of every uplink, device-major.
-    Each round draws one block per still-active device, in the documented order."""
+    """Start times, device indices and channel picks of every uplink, in no particular
+    order.  Devices are walked ``_DEVICES_PER_BLOCK`` at a time; each round of a block
+    draws one row per still-active device, in the documented order."""
     n = len(min_gap)
     periodic = traffic.mode == "periodic"
     active = np.flatnonzero(max_sends > 0)
     if horizon_s == 0 or not active.size:  # nothing to send: derive no substream state
         return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    # One generator draws every block: each device's substream state is swapped
-    # in before its block and read back after, so later rounds resume it exactly.
-    states = dict(zip(active.tolist(), substream_states(seed, "traffic", last=active.tolist())))
+    # numpy's integers(0, n) takes 32-bit draws u, the low half of each raw word first,
+    # and by Lemire's rule picks (u * n) >> 32, redrawing while the low 32 bits of u * n
+    # fall below (2**32 - n) % n.  With one channel it draws nothing.
+    lemire = 1 < n_channels <= 2**32
+    threshold = (2**32 - n_channels) % n_channels
+    # One generator draws every row: each device's substream state is swapped
+    # in before its row and read back after, so later rounds resume it exactly.
     rng = np.random.Generator(np.random.PCG64(0))
     sent = np.zeros(n, dtype=np.int64)
     last = np.zeros(n)  # start of each device's latest uplink
     # Periodic: the gap the next round starts with; the first round starts at the phase.
     pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
-    parts = []
-    first = True
-    while active.size:
-        gaps = np.zeros((active.size, ROUND))
-        picks = np.empty((active.size, ROUND), dtype=np.int64)
-        for row, i in enumerate(active.tolist()):
-            rng.bit_generator.state = states[i]
-            if not periodic:
-                gaps[row] = rng.exponential(traffic.period_s, size=ROUND)
-            elif first and traffic.first_offset_s is None:
-                pending[i] = rng.uniform(0.0, traffic.period_s)
-            picks[row] = rng.integers(0, n_channels, size=ROUND)
-            if periodic and traffic.jitter_s > 0:
-                gaps[row] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
-            states[i] = rng.bit_generator.state
-        if periodic:
-            # Uplink s waits for the gap drawn after uplink s - 1: shift by one.
-            drawn = np.maximum(traffic.period_s + gaps, 0.0)
-            gaps[:, 0] = pending[active]
-            gaps[:, 1:] = drawn[:, :-1]
-            pending[active] = drawn[:, -1]
-        steps = np.maximum(gaps, min_gap[active, None])
-        if first:
-            steps[:, 0] = gaps[:, 0]  # the first start is not floored
-        else:
-            steps = np.hstack([last[active, None], steps])
-        times = np.cumsum(steps, axis=1)[:, -ROUND:]
 
-        count = np.minimum((times < horizon_s).sum(axis=1), max_sends[active] - sent[active])
-        take = np.arange(ROUND) < count[:, None]
-        parts.append((times[take], np.repeat(active, count), picks[take]))
-        sent[active] += count
-        last[active] = times[:, -1]
-        active = active[(count == ROUND) & (sent[active] < max_sends[active])]
-        first = False
+    def draw(i, gap_row, pick_row, raw):
+        """Device i's round of the current block round, from its round-start state in
+        ``states``; the picks as raw words when ``raw``.  Returns the state after it."""
+        rng.bit_generator.state = states[i]
+        if not periodic:
+            rng.standard_exponential(out=gap_row)
+        elif first and traffic.first_offset_s is None:
+            pending[i] = rng.uniform(0.0, traffic.period_s)
+        if raw:  # stored little-endian, so each word's low half comes first as "<u4"
+            pick_row.view("<u8")[:ROUND // 2] = rng.bit_generator.random_raw(ROUND // 2)
+        elif n_channels > 1:
+            pick_row[:] = rng.integers(0, n_channels, size=ROUND)
+        if periodic and traffic.jitter_s > 0:
+            gap_row[:] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
+        return rng.bit_generator.state
+
+    parts = []
+    for lo in range(0, active.size, _DEVICES_PER_BLOCK):
+        block = active[lo:lo + _DEVICES_PER_BLOCK]
+        states = dict(zip(block.tolist(), substream_states(seed, "traffic", last=block.tolist())))
+        first = True
+        while block.size:
+            gaps = np.zeros((block.size, ROUND))
+            picks = np.zeros((block.size, ROUND), dtype=np.int64)
+            devices = block.tolist()
+            ends = [draw(i, gaps[row], picks[row], lemire) for row, i in enumerate(devices)]
+            if lemire:
+                scaled = picks.view("<u8")[:, :ROUND // 2].view("<u4").astype(np.uint64)
+                scaled *= np.uint64(n_channels)
+                np.right_shift(scaled, 32, out=picks.view(np.uint64))
+                # Rows numpy would draw differently: a rejection, or a start mid-word.
+                redo = (scaled.astype(np.uint32) < threshold).any(axis=1)
+                redo |= [states[i]["has_uint32"] == 1 for i in devices]
+                for row in np.flatnonzero(redo).tolist():
+                    ends[row] = draw(devices[row], gaps[row], picks[row], False)
+            states.update(zip(devices, ends))
+            if periodic:
+                # Uplink s waits for the gap drawn after uplink s - 1: shift by one.
+                drawn = np.maximum(traffic.period_s + gaps, 0.0)
+                gaps[:, 0] = pending[block]
+                gaps[:, 1:] = drawn[:, :-1]
+                pending[block] = drawn[:, -1]
+            else:
+                gaps *= traffic.period_s  # exponential(scale) is scale * standard_exponential()
+            steps = np.maximum(gaps, min_gap[block, None])
+            if first:
+                steps[:, 0] = gaps[:, 0]  # the first start is not floored
+            else:
+                steps = np.hstack([last[block, None], steps])
+            times = np.cumsum(steps, axis=1)[:, -ROUND:]
+
+            count = np.minimum((times < horizon_s).sum(axis=1), max_sends[block] - sent[block])
+            take = np.arange(ROUND) < count[:, None]
+            parts.append((times[take], np.repeat(block, count), picks[take]))
+            sent[block] += count
+            last[block] = times[:, -1]
+            block = block[(count == ROUND) & (sent[block] < max_sends[block])]
+            first = False
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -153,6 +153,30 @@ class TestWeights:
         assert captured.err == f"error: NonFiniteFlow: flow at node {first!r} is not finite: inf\n"
 
 
+@pytest.mark.parametrize("argv", [["place", "{inp}", "--k", "3", "--strategy", "centrality"],
+                                  ["place", "{inp}", "--k", "3", "--strategy", "grid"],
+                                  ["simulate", "--config", "{config}"]])
+def test_overflowing_squared_extent_is_one_error_line(capsys, tmp_path, argv):
+    """Node J0005 at x = 1e200: every coordinate is finite, but squared
+    distances across the network would overflow, so the network is rejected."""
+    head, coordinates = synthetic_wds(30, 2, seed=3, area_m=(3000.0, 2000.0)).split("[COORDINATES]")
+    _, x, _ = next(line.split() for line in coordinates.splitlines() if line.split()[:1] == ["J0005"])
+    inp = tmp_path / "net.inp"
+    inp.write_text(head + "[COORDINATES]" + coordinates.replace(f" J0005  {x} ", " J0005  1e200 "))
+    assert read_inp(inp, coordinate_scale=1e-100).node_count == 30  # valid once the extent is smaller
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"inp_path": str(inp), "name": "x", "output_dir": str(tmp_path / "out"),
+                                  "gateway_counts": [3], "strategies": ["degree_centrality"], "horizon_s": 900.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(inp=inp, config=config) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CoordinateOverflow: the squared diagonal of the coordinates' bbox (")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestPlace:
     @pytest.mark.parametrize("snap", [False, True])
     def test_equals_sweep_gateways(self, inp_file, tmp_path, snap):

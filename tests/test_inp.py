@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ from hydrolora import build_network, read_inp, tokenize_inp
 from hydrolora.cli import main
 from hydrolora.errors import (
     ConfigError,
+    CoordinateOverflow,
     DanglingEndpoint,
     DuplicateId,
     MalformedRow,
@@ -185,11 +187,24 @@ class TestBuildNetwork:
         assert exc.value.section == section
 
     def test_coordinate_overflowing_after_scaling_rejected(self):
-        text = TWO_NODE_INP.replace("J2  100  0\n", "J2  1e300  0\n")
-        assert build_network(tokenize_inp(text)).bbox[2] == 1e300
+        text = TWO_NODE_INP.replace("J2  100  0\n", "J2  1e150  0\n")
+        assert build_network(tokenize_inp(text)).bbox[2] == 1e150
         with pytest.raises(MalformedRow, match="overflow") as exc:
-            build_network(tokenize_inp(text), coordinate_scale=1e10)
+            build_network(tokenize_inp(text), coordinate_scale=1e160)
         assert exc.value.section == "COORDINATES"
+
+    @pytest.mark.parametrize("coordinates, scale", [
+        ("J1 0 0\n J2 1e155 0\n", 1.0), ("J1 -1e154 0\n J2 0 1e154\n", 1.0),
+        ("J1 0 0\n J2 1e154 1e154\n", 1.0), ("J1 0 0\n J2 1 0\n", 1e160)])
+    def test_squared_extent_overflowing_rejected(self, coordinates, scale):
+        """Every coordinate is finite, but the squared diagonal of the bbox is not,
+        so squared distances in placement and the link budget would overflow."""
+        text = TWO_NODE_INP.split("[COORDINATES]")[0] + "[COORDINATES]\n " + coordinates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflow, match="^the squared diagonal of the coordinates' bbox "):
+                build_network(tokenize_inp(text), coordinate_scale=scale)
+        assert build_network(tokenize_inp(text), coordinate_scale=scale / 1e6).node_count == 2
 
     def test_pumps_and_valves(self):
         text = (

@@ -151,6 +151,24 @@ class TestPathLoss:
             expected = 128.95 + 10 * 2.32 * np.log10(d / 1000.0)
             assert path_loss_db(float(d), model) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("model", [PropagationModel(), PropagationModel(ref_loss_db=120.0, ref_distance_m=40.0,
+                                                                         exponent=3.7)])
+    def test_in_place_link_budget_keeps_the_bits_of_the_expression(self, model):
+        """``path_loss_db`` and ``link_rssi_matrix`` work in place on one array;
+        each value must equal ``tx - (ref + 10 * n * log10(max(d, 1) / d0) + shadowing)``."""
+        rng = substream(78, "pathloss")
+        devices, gateways = rng.uniform(-9e3, 9e3, (300, 2)), rng.uniform(-9e3, 9e3, (7, 2))
+        devices[:3] = gateways[:3] + [[0.0, 0.0], [0.3, 0.0], [0.0, 1.0]]  # below, at the 1 m clamp
+        shadowing = rng.normal(0.0, 6.0, (300, 7))
+        distance = np.sqrt(((devices[:, None] - gateways[None]) ** 2).sum(axis=2))
+        loss = model.ref_loss_db + 10.0 * model.exponent * np.log10(np.maximum(distance, 1.0) / model.ref_distance_m)
+        assert np.array_equal(path_loss_db(distance, model), loss)
+        assert [path_loss_db(d, model) for d in distance[0].tolist()] == loss[0].tolist()
+        cfg = RadioConfig()
+        assert np.array_equal(link_rssi_matrix(devices, gateways, cfg, model), cfg.tx_power_dbm - loss)
+        assert np.array_equal(link_rssi_matrix(devices, gateways, cfg, model, shadowing),
+                              cfg.tx_power_dbm - (loss + shadowing))
+
     def test_matrix_shape_and_shadowing(self):
         cfg = RadioConfig()
         devices = np.array([[0.0, 0.0], [100.0, 0.0]])

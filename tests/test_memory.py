@@ -1,4 +1,4 @@
-"""Memory bounds of the two stages that set the placement benchmark's peak.
+"""Memory bounds of the stages that set the benchmarks' peaks.
 
 Each stage runs in a fresh process, which reads its resident size
 (``VmRSS``) before the stage and its high-water mark (``VmHWM``) after it
@@ -13,6 +13,10 @@ peak above what was resident going in: its result and its transients.
   rise was 51 MB for either; a block of bytes at a time it is 19 MB for
   both.  When CRLF text still went through a whole-file ``csv.reader``
   pass, its rise was 60 MB.
+- Traffic of the same network's 4419 devices over 1 h (poisson, 300 s mean,
+  SF7 duty-cycle floor): 52 895 uplinks, a 1.2 MiB result.  With the round
+  arrays of every active device (N x 256 each) live at once the rise here
+  was 38 MB; walking the devices 256 at a time it is 4.5 MB.
 """
 
 import os
@@ -29,10 +33,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PAPER_FIXTURE = dict(n_nodes=4419, n_reservoirs=3, seed=0)
 NEIGHBOURS_MAX_MB = 32.0
 INGEST_MAX_MB = 35.0
+TRAFFIC_MAX_MB = 16.0
 
 STAGE = """\
-from hydrolora import build_network, ingest_hydraulic_csv, synthetic_wds, tokenize_inp
+import numpy as np
+from hydrolora import (EnergyModel, RadioConfig, airtime, build_network, ingest_hydraulic_csv, synthetic_wds,
+                       tokenize_inp)
 from hydrolora.placement import _radius_neighbours
+from hydrolora.sim import TrafficModel, _traffic
 
 def status(field):
     with open("/proc/self/status") as handle:
@@ -40,6 +48,10 @@ def status(field):
 
 net = build_network(tokenize_inp(synthetic_wds(**{fixture!r})))
 xy = net.coordinates()
+uplink_s = airtime(7, RadioConfig())  # every device at SF7, as on the paper fixture
+min_gap = np.full(net.node_count, uplink_s / RadioConfig().duty_cycle_limit)
+energy = EnergyModel()
+max_sends = np.full(net.node_count, int(energy.initial_battery_j // energy.uplink_energy_j(14.0, uplink_s)))
 before = status("VmRSS")
 {stage}
 print(status("VmHWM") - before)
@@ -88,3 +100,8 @@ def test_neighbour_lists_and_ingest_stay_within_their_memory_bounds(tmp_path):
     assert rise_mb(neighbours) <= NEIGHBOURS_MAX_MB
     rises = [rise_mb(ingest) for ingest in ingests]
     assert max(rises) <= INGEST_MAX_MB, rises
+
+
+def test_traffic_stays_within_its_memory_bound():
+    traffic = start("result = _traffic(10, TrafficModel(), 3, min_gap, max_sends, 3600.0)")
+    assert rise_mb(traffic) <= TRAFFIC_MAX_MB

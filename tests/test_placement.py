@@ -204,6 +204,16 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match="^node coordinates and their extent must be finite$"):
                 deploy(2, np.array(xy), np.ones(4))
 
+    @pytest.mark.parametrize("deploy", [degree_centrality_deploy, greedy_coverage_deploy])
+    @pytest.mark.parametrize("xy", [[(0, 0), (1e200, 0), (5, 5), (6, 5)],  # each square overflows
+                                    [(0, 0), (1e154, 1e154), (5, 5), (6, 5)]])  # only their sum does
+    def test_overflowing_squared_extent_rejected(self, deploy, xy):
+        """Squared distances across the extent would overflow in k-means."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the squared extent of the node coordinates must be finite$"):
+                deploy(2, np.array(xy, dtype=float), np.ones(4))
+
     @pytest.mark.parametrize("bbox", [(0.0, 0.0, float("nan"), 1.0), (float("-inf"), 0.0, 1.0, 1.0),
                                       (-1e308, 0.0, 1e308, 1.0)])
     def test_non_finite_bbox_rejected(self, bbox):

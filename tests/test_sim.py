@@ -17,9 +17,12 @@ from hydrolora import (
     simulate,
     tokenize_inp,
 )
+from hydrolora import sim
 from hydrolora.errors import NoGateways
-from hydrolora.sim import export_wireless_csv
+from hydrolora.rng import substream_states
+from hydrolora.sim import ROUND, export_wireless_csv
 from tests.conftest import make_network
+from tests.reference_sim import _DeviceTraffic
 
 ONE_CHANNEL = RadioConfig(channels_hz=(868_100_000,))
 
@@ -265,6 +268,77 @@ class TestDeterminism:
         assert np.array_equal(a.link_rssi_dbm, b.link_rssi_dbm)
         c = simulate(net, [(20.0, 0.0)], horizon_s=600.0, seed=4, propagation=prop)
         assert not np.array_equal(a.link_rssi_dbm, c.link_rssi_dbm)
+
+
+def sorted_traffic(columns):
+    time_s, device, pick = columns
+    order = np.lexsort((device, time_s))
+    return time_s[order].tolist(), device[order].tolist(), pick[order].tolist()
+
+
+def per_device_traffic(seed, traffic, n_channels, min_gap, max_sends, horizon_s):
+    """The uplinks of each device in turn, drawn lazily through the oracle's own
+    ``integers``/``exponential``/``uniform`` calls, sorted like ``sorted_traffic``."""
+    uplinks = []
+    for i in range(len(min_gap) if horizon_s > 0 else 0):
+        stream = _DeviceTraffic(seed, i, traffic, n_channels)
+        t, sent = stream.first_start(), 0
+        while sent < max_sends[i] and t < horizon_s:
+            uplinks.append((t, i, stream.next_channel()))
+            sent += 1
+            t = max(t + stream.next_gap(), t + min_gap[i])
+    return tuple(map(list, zip(*sorted(uplinks)))) if uplinks else ([], [], [])
+
+
+CHANNEL_COUNTS = (1, 2, 3, 5, 8, 2**31 + 1, 2**32 - 1)
+
+
+class TestTrafficRounds:
+    """``_traffic`` draws picks as raw words and walks devices a block at a
+    time; neither may change a draw."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "has_uint32"])
+    @pytest.mark.parametrize("n_channels", CHANNEL_COUNTS)
+    def test_picks_equal_integers_from_the_same_state(self, monkeypatch, n_channels, buffered):
+        """Three rounds of 64 devices.  2**31 + 1 rejects about half its draws,
+        so its rows are redrawn and later rounds start with half a word buffered."""
+        devices, rounds = 64, 3
+        states = substream_states(5, "traffic", last=range(devices))
+        if buffered:
+            for i, state in enumerate(states):
+                state.update(has_uint32=1, uinteger=0x9E3779B9 * (i + 1) & 0xFFFFFFFF)
+        monkeypatch.setattr(sim, "substream_states", lambda *keys, last: [states[i] for i in last])
+        _, device, pick = sorted_traffic(sim._traffic(
+            5, TrafficModel(period_s=1.0), n_channels, np.zeros(devices),
+            np.full(devices, rounds * ROUND), 1e9))
+        rng = np.random.Generator(np.random.PCG64(0))
+        for i in range(devices):
+            rng.bit_generator.state = states[i]
+            expected = []
+            for _ in range(rounds):
+                rng.exponential(1.0, size=ROUND)
+                expected += rng.integers(0, n_channels, size=ROUND).tolist()
+            assert [p for d, p in zip(device, pick) if d == i] == expected, i
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    @pytest.mark.parametrize("traffic", [
+        TrafficModel(mode="poisson", period_s=2.0),
+        TrafficModel(mode="periodic", period_s=2.0),
+        TrafficModel(mode="periodic", period_s=2.0, jitter_s=1.5),
+        TrafficModel(mode="periodic", period_s=2.0, first_offset_s=0.75),
+        TrafficModel(mode="periodic", period_s=2.0, jitter_s=0.5, first_offset_s=3.0),
+    ], ids=["poisson", "periodic", "jitter", "offset", "jitter-offset"])
+    @pytest.mark.parametrize("n_channels", [1, 3, 2**31 + 1])
+    def test_any_block_size_gives_the_per_device_stream(self, monkeypatch, block, traffic, n_channels):
+        """About four rounds per device, some cut short by the battery or the
+        duty-cycle floor, some never sending, against the per-device oracle."""
+        monkeypatch.setattr(sim, "_DEVICES_PER_BLOCK", block)
+        min_gap = np.array([0.0, 0.5, 3.0, 0.0, 1.0] * 4)
+        max_sends = np.array([10**6, 1, 0, 300, 257, 600, 2, 10**6, 256, 5] * 2, dtype=np.int64)
+        args = (3, traffic, n_channels, min_gap, max_sends, 2000.0)
+        expected = per_device_traffic(*args)
+        assert len(expected[0]) > 3 * ROUND
+        assert sorted_traffic(sim._traffic(*args)) == expected
 
 
 class TestExport:
