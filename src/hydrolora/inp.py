@@ -32,6 +32,7 @@ from .errors import (
     SelfLoop,
     UndecodableText,
 )
+from .placement import _sq_extent_finite
 
 SUPPORTED_SECTIONS = frozenset(
     {
@@ -288,8 +289,7 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     table = np.array(rows, dtype=NODE_DTYPE).view(np.recarray)
     xs, ys = table.position.T.tolist()  # Python min/max: the first of 0.0 and -0.0 wins
     bbox = (min(xs), min(ys), max(xs), max(ys))
-    width, height = bbox[2] - bbox[0], bbox[3] - bbox[1]
-    if not math.isfinite(width * width + height * height):  # Python floats: inf, no warning
+    if not _sq_extent_finite(bbox[2] - bbox[0], bbox[3] - bbox[1]):
         raise CoordinateOverflow(f"the squared diagonal of the coordinates' bbox {bbox} overflows")
     return WaterNetwork(nodes=table, links=np.array(links, dtype=LINK_DTYPE).view(np.recarray),
                         bbox=bbox, warnings=warnings)

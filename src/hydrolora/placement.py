@@ -103,7 +103,7 @@ def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
         width, height = (node_xy.max(axis=0) - node_xy.min(axis=0)).tolist()
     if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError("node coordinates and their extent must be finite")
-    if not math.isfinite(width * width + height * height):  # bounds every squared distance k-means takes
+    if not _sq_extent_finite(width, height):
         raise ValueError("the squared extent of the node coordinates must be finite")
     if not np.all((weights >= 0) & (weights < math.inf)):
         raise ValueError("weights must be finite and nonnegative")
@@ -128,6 +128,12 @@ def _farthest_point_seeds(xy: np.ndarray, weights: np.ndarray, k: int) -> list[i
         available[nxt] = False
         nearest_sq = np.minimum(nearest_sq, ((xy - xy[nxt]) ** 2).sum(axis=1))
     return seeds
+
+
+def _sq_extent_finite(width: float, height: float) -> bool:
+    """Whether every squared distance ``_sq_dist`` takes across a width x height
+    extent stays finite.  Python floats: an overflow gives inf, not a warning."""
+    return math.isfinite(width * width + height * height)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

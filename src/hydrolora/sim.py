@@ -14,11 +14,8 @@ sequential cumulative sum of ``max(gap, airtime / duty_cycle_limit)`` (the
 first start is not floored), exactly ``max(t + gap, t + floor)`` per uplink
 since rounding is monotone.  A device stops at the horizon or when its
 battery cannot afford another uplink, and draws more blocks while it can go on.
-Devices are walked ``_DEVICES_PER_BLOCK`` at a time, so the round arrays stay
-that many rows tall.  Channel picks are computed from raw PCG64 words by
-numpy's own Lemire rule for ``integers``; a device whose round rejects a draw,
-or starts with half a word buffered, is redrawn through ``integers`` itself,
-so every stream is the one the documented calls give.
+Devices are walked ``_DEVICES_PER_BLOCK`` at a time, each block through all
+of its rounds, so the round arrays stay that many rows tall.
 
 Reception model, first order: a gateway hears a copy of an uplink iff the
 static link RSSI clears the SF sensitivity.  Uplinks are ordered by start
@@ -164,11 +161,6 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     active = np.flatnonzero(max_sends > 0)
     if horizon_s == 0 or not active.size:  # nothing to send: derive no substream state
         return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    # numpy's integers(0, n) takes 32-bit draws u, the low half of each raw word first,
-    # and by Lemire's rule picks (u * n) >> 32, redrawing while the low 32 bits of u * n
-    # fall below (2**32 - n) % n.  With one channel it draws nothing.
-    lemire = 1 < n_channels <= 2**32
-    threshold = (2**32 - n_channels) % n_channels
     # One generator draws every row: each device's substream state is swapped
     # in before its row and read back after, so later rounds resume it exactly.
     rng = np.random.Generator(np.random.PCG64(0))
@@ -176,23 +168,6 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     last = np.zeros(n)  # start of each device's latest uplink
     # Periodic: the gap the next round starts with; the first round starts at the phase.
     pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
-
-    def draw(i, gap_row, pick_row, raw):
-        """Device i's round of the current block round, from its round-start state in
-        ``states``; the picks as raw words when ``raw``.  Returns the state after it."""
-        rng.bit_generator.state = states[i]
-        if not periodic:
-            rng.standard_exponential(out=gap_row)
-        elif first and traffic.first_offset_s is None:
-            pending[i] = rng.uniform(0.0, traffic.period_s)
-        if raw:  # stored little-endian, so each word's low half comes first as "<u4"
-            pick_row.view("<u8")[:ROUND // 2] = rng.bit_generator.random_raw(ROUND // 2)
-        elif n_channels > 1:
-            pick_row[:] = rng.integers(0, n_channels, size=ROUND)
-        if periodic and traffic.jitter_s > 0:
-            gap_row[:] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
-        return rng.bit_generator.state
-
     parts = []
     for lo in range(0, active.size, _DEVICES_PER_BLOCK):
         block = active[lo:lo + _DEVICES_PER_BLOCK]
@@ -200,27 +175,23 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
         first = True
         while block.size:
             gaps = np.zeros((block.size, ROUND))
-            picks = np.zeros((block.size, ROUND), dtype=np.int64)
-            devices = block.tolist()
-            ends = [draw(i, gaps[row], picks[row], lemire) for row, i in enumerate(devices)]
-            if lemire:
-                scaled = picks.view("<u8")[:, :ROUND // 2].view("<u4").astype(np.uint64)
-                scaled *= np.uint64(n_channels)
-                np.right_shift(scaled, 32, out=picks.view(np.uint64))
-                # Rows numpy would draw differently: a rejection, or a start mid-word.
-                redo = (scaled.astype(np.uint32) < threshold).any(axis=1)
-                redo |= [states[i]["has_uint32"] == 1 for i in devices]
-                for row in np.flatnonzero(redo).tolist():
-                    ends[row] = draw(devices[row], gaps[row], picks[row], False)
-            states.update(zip(devices, ends))
+            picks = np.empty((block.size, ROUND), dtype=np.int64)
+            for row, i in enumerate(block.tolist()):
+                rng.bit_generator.state = states[i]
+                if not periodic:
+                    gaps[row] = rng.exponential(traffic.period_s, size=ROUND)
+                elif first and traffic.first_offset_s is None:
+                    pending[i] = rng.uniform(0.0, traffic.period_s)
+                picks[row] = rng.integers(0, n_channels, size=ROUND)
+                if periodic and traffic.jitter_s > 0:
+                    gaps[row] = rng.uniform(-traffic.jitter_s, traffic.jitter_s, size=ROUND)
+                states[i] = rng.bit_generator.state
             if periodic:
                 # Uplink s waits for the gap drawn after uplink s - 1: shift by one.
                 drawn = np.maximum(traffic.period_s + gaps, 0.0)
                 gaps[:, 0] = pending[block]
                 gaps[:, 1:] = drawn[:, :-1]
                 pending[block] = drawn[:, -1]
-            else:
-                gaps *= traffic.period_s  # exponential(scale) is scale * standard_exponential()
             steps = np.maximum(gaps, min_gap[block, None])
             if first:
                 steps[:, 0] = gaps[:, 0]  # the first start is not floored

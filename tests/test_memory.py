@@ -16,7 +16,7 @@ peak above what was resident going in: its result and its transients.
 - Traffic of the same network's 4419 devices over 1 h (poisson, 300 s mean,
   SF7 duty-cycle floor): 52 895 uplinks, a 1.2 MiB result.  With the round
   arrays of every active device (N x 256 each) live at once the rise here
-  was 38 MB; walking the devices 256 at a time it is 4.5 MB.
+  was 38 MB; walking the devices 256 at a time it is 4.0 MB.
 """
 
 import os

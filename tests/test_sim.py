@@ -19,7 +19,6 @@ from hydrolora import (
 )
 from hydrolora import sim
 from hydrolora.errors import NoGateways
-from hydrolora.rng import substream_states
 from hydrolora.sim import ROUND, export_wireless_csv
 from tests.conftest import make_network
 from tests.reference_sim import _DeviceTraffic
@@ -290,35 +289,8 @@ def per_device_traffic(seed, traffic, n_channels, min_gap, max_sends, horizon_s)
     return tuple(map(list, zip(*sorted(uplinks)))) if uplinks else ([], [], [])
 
 
-CHANNEL_COUNTS = (1, 2, 3, 5, 8, 2**31 + 1, 2**32 - 1)
-
-
 class TestTrafficRounds:
-    """``_traffic`` draws picks as raw words and walks devices a block at a
-    time; neither may change a draw."""
-
-    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "has_uint32"])
-    @pytest.mark.parametrize("n_channels", CHANNEL_COUNTS)
-    def test_picks_equal_integers_from_the_same_state(self, monkeypatch, n_channels, buffered):
-        """Three rounds of 64 devices.  2**31 + 1 rejects about half its draws,
-        so its rows are redrawn and later rounds start with half a word buffered."""
-        devices, rounds = 64, 3
-        states = substream_states(5, "traffic", last=range(devices))
-        if buffered:
-            for i, state in enumerate(states):
-                state.update(has_uint32=1, uinteger=0x9E3779B9 * (i + 1) & 0xFFFFFFFF)
-        monkeypatch.setattr(sim, "substream_states", lambda *keys, last: [states[i] for i in last])
-        _, device, pick = sorted_traffic(sim._traffic(
-            5, TrafficModel(period_s=1.0), n_channels, np.zeros(devices),
-            np.full(devices, rounds * ROUND), 1e9))
-        rng = np.random.Generator(np.random.PCG64(0))
-        for i in range(devices):
-            rng.bit_generator.state = states[i]
-            expected = []
-            for _ in range(rounds):
-                rng.exponential(1.0, size=ROUND)
-                expected += rng.integers(0, n_channels, size=ROUND).tolist()
-            assert [p for d, p in zip(device, pick) if d == i] == expected, i
+    """``_traffic`` walks devices a block at a time; that may not change a draw."""
 
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     @pytest.mark.parametrize("traffic", [
