@@ -4,9 +4,10 @@ A header line, then one line per row; ``\\n`` line ends; UTF-8.  Numbers are
 written as ``repr`` of the Python int or float; text fields are quoted exactly
 as ``csv.writer`` quotes them.
 
-A file is built column by column.  Each column is a pair (table, index): row r
-holds ``table[index[r]]``, a ready field.  A column whose table is None holds
-numbers, written as ``repr``.
+A file is built column by column.  Each column is a pair (table, index) of one
+of two kinds: a lookup (``text``), whose row r holds ``table[index[r]]``, a
+field formatted once per table entry; or numbers (``floats``, table None), one
+per row, each written as ``repr``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ _ROWS_PER_WRITE = 1 << 16  # rows formatted at a time, which bounds the memory o
 
 
 def text(values, index=None):
-    """A column of ``values`` as ``csv.writer`` writes them; row r holds
-    ``values[index[r]]``, by default ``values[r]``."""
+    """A column of ``values`` as ``csv.writer`` writes them (numbers as ``repr``);
+    row r holds ``values[index[r]]``, by default ``values[r]``."""
     writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
     table = np.array([writer.writerow([value, ""])[:-2] for value in values], dtype=object)
     return table, np.arange(len(table)) if index is None else index
@@ -32,17 +33,6 @@ def text(values, index=None):
 def floats(values):
     """A column of numbers written as ``repr(float(value))``."""
     return None, np.asarray(values, dtype=np.float64)
-
-
-def distinct(values):
-    """A column of numbers that formats each distinct value once, as ``repr``.
-
-    Values are told apart by their bit pattern, so ``-0.0`` and ``0.0`` each
-    keep their own ``repr``."""
-    values = np.ascontiguousarray(values)
-    bits, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    table = bits.view(values.dtype)
-    return np.array(list(map(repr, table.tolist())), dtype=object), index
 
 
 def write_csv(path, header: str, columns) -> None:

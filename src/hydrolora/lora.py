@@ -166,7 +166,8 @@ def link_rssi_matrix(
     """
     device_xy = np.asarray(device_xy, dtype=np.float64)
     gateway_xy = np.asarray(gateway_xy, dtype=np.float64)
-    distance = _sq_dist(device_xy, gateway_xy)
+    with np.errstate(over="ignore"):  # squares past the float range are inf: RSSI -inf
+        distance = _sq_dist(device_xy, gateway_xy)
     np.sqrt(distance, out=distance)
     loss = path_loss_db(distance, model)
     if shadowing_db is not None:

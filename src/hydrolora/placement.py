@@ -77,16 +77,18 @@ def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> Gate
         raise DegenerateBBox("bounding box has zero extent on both axes")
 
     rows, cols = _grid_dims(k, width, height)
-    positions = []
-    for i in range(rows):
-        for j in range(cols):
-            if len(positions) == k:
-                break
-            positions.append(
-                (x_min + (j + 0.5) * width / cols, y_min + (i + 0.5) * height / rows)
-            )
+    positions = [(x_min + (j + 0.5) * width / cols, y_min + (i + 0.5) * height / rows)
+                 for i in range(rows) for j in range(cols)][:k]
     return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions,
                       provenance={"rows": rows, "cols": cols, "bbox": list(bbox)})
+
+
+def _check_k(k, n: int) -> None:
+    """Raise unless ``k`` is a positive integer no larger than the node count."""
+    if not isinstance(k, int) or k < 1:
+        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
+    if k > n:
+        raise KExceedsN(f"K={k} exceeds node count {n}")
 
 
 def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -95,10 +97,7 @@ def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
     weights with a positive sum."""
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if not isinstance(k, int) or k < 1:
-        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
-    if k > len(node_xy):
-        raise KExceedsN(f"K={k} exceeds node count {len(node_xy)}")
+    _check_k(k, len(node_xy))
     with np.errstate(over="ignore"):
         width, height = (node_xy.max(axis=0) - node_xy.min(axis=0)).tolist()
     if not (math.isfinite(width) and math.isfinite(height)):
@@ -120,13 +119,13 @@ def _farthest_point_seeds(xy: np.ndarray, weights: np.ndarray, k: int) -> list[i
     seeds = [first]
     available = np.ones(len(xy), dtype=bool)
     available[first] = False
-    nearest_sq = ((xy - xy[first]) ** 2).sum(axis=1)
+    nearest_sq = _sq_dist(xy, xy[first:first + 1])[:, 0]
     while len(seeds) < k:
         score = np.where(available, weights * nearest_sq, -1.0)
         nxt = int(score.argmax())
         seeds.append(nxt)
         available[nxt] = False
-        nearest_sq = np.minimum(nearest_sq, ((xy - xy[nxt]) ** 2).sum(axis=1))
+        nearest_sq = np.minimum(nearest_sq, _sq_dist(xy, xy[nxt:nxt + 1])[:, 0])
     return seeds
 
 
@@ -348,7 +347,9 @@ def greedy_coverage_deploy(
 
 def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
           snap_to_nodes: bool = False, radius_m: float = 1000.0) -> GatewaySet:
-    """Dispatch to a placement strategy by name."""
+    """Dispatch to a placement strategy by name, after checking K against the node count."""
+    if node_xy is not None:
+        _check_k(k, len(node_xy))
     if strategy == REGULAR_GRID:
         return regular_grid_deploy(k, bbox)
     if strategy == DEGREE_CENTRALITY:

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import distinct, floats, text, write_csv
+from .csvio import floats, text, write_csv
 from .errors import NoDevices, NoGateways
 from .inp import WaterNetwork
 from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
@@ -81,29 +81,36 @@ class TrafficModel:
             raise ValueError("first_offset_s must be finite and nonnegative")
 
 
+def _per_device(field: str) -> property:
+    """The column ``field`` of the run's device table, read for every uplink."""
+    return property(lambda self: self.devices[field][self.device_index])
+
+
 @dataclass(frozen=True)
 class Transmissions:
     """Every uplink attempt of a run as columns, in start order (time, then
-    device index).  ``outcome_code`` indexes OUTCOMES; ``best_gw_index`` is
-    the strongest gateway that kept a copy, -1 when none did."""
+    device index), storing only what differs per uplink: ``channel_index``
+    indexes ``channels_hz``, ``outcome_code`` OUTCOMES, and ``best_gw_index``
+    the strongest gateway that kept a copy (-1: none did).  ``device_id``,
+    ``sf``, ``airtime_s`` and ``best_rssi_dbm`` are read from ``devices``."""
 
     time_s: np.ndarray
     device_index: np.ndarray
-    channel_hz: np.ndarray
-    sf: np.ndarray
-    airtime_s: np.ndarray
-    best_rssi_dbm: np.ndarray
+    channel_index: np.ndarray
     outcome_code: np.ndarray
     best_gw_index: np.ndarray
-    device_ids: np.ndarray  # (N,) indexed by device_index
+    devices: np.recarray  # the run's device table, SimulationResult.devices
+    channels_hz: np.ndarray  # int64
     gateway_ids: tuple[str, ...]
+
+    device_id, sf, airtime_s, best_rssi_dbm = map(_per_device, ("id", "sf", "airtime_s", "best_rssi_dbm"))
 
     def __len__(self) -> int:
         return len(self.time_s)
 
     @property
-    def device_id(self) -> np.ndarray:
-        return self.device_ids[self.device_index]
+    def channel_hz(self) -> np.ndarray:
+        return self.channels_hz[self.channel_index]
 
     @property
     def outcome(self) -> np.ndarray:
@@ -140,9 +147,10 @@ class EnergyReport:
 @dataclass
 class SimulationResult:
     """One run.  ``devices`` is a record array, one row per device in network
-    node order, with the fields ``id``, ``sf``, ``coverage_marginal``,
-    ``best_rssi_dbm``, ``sent``, ``delivered``, ``lost_no_coverage``,
-    ``lost_collision``, ``energy_j`` and ``battery_j`` (left at the end)."""
+    node order, with the fields ``id``, ``sf``, ``airtime_s``,
+    ``coverage_marginal``, ``best_rssi_dbm``, ``sent``, ``delivered``,
+    ``lost_no_coverage``, ``lost_collision``, ``energy_j`` and ``battery_j``
+    (left at the end), each stored only there; ``records`` reads them from it."""
 
     devices: np.recarray
     records: Transmissions
@@ -307,20 +315,19 @@ def simulate(
     energies = [energy_model.uplink_energy_j(cfg.tx_power_dbm, a) for a in airtimes]
     # Uplinks the battery affords, as Python float floor division.
     sends_by_sf = [min(int(energy_model.initial_battery_j // e), np.iinfo(np.int64).max) for e in energies]
-    airtime_by_sf = np.array(airtimes)
     sf_slot = sfs - cfg.sf_min
+    airtime_s = np.array(airtimes)[sf_slot]
     uplink_j = np.array(energies)[sf_slot]
     max_sends = np.array(sends_by_sf, dtype=np.int64)[sf_slot]
     # Duty cycle caps the start-to-start pace at airtime / limit.
-    min_gap = airtime_by_sf[sf_slot] / cfg.duty_cycle_limit
+    min_gap = airtime_s / cfg.duty_cycle_limit
     sensitivity = np.array([cfg.sensitivity_dbm[sf] for sf in cfg.sfs()])[sf_slot]
 
     time_s, device, pick = _traffic(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
     order = np.lexsort((device, time_s))
     time_s, device, pick = time_s[order], device[order], pick[order]
-    uplink_sf_slot = sf_slot[device]
-    outcome, best_gw = _outcomes(time_s, device, pick * len(airtimes) + uplink_sf_slot,
-                                 airtime_by_sf[uplink_sf_slot], link_rssi, link_rssi >= sensitivity[:, None],
+    outcome, best_gw = _outcomes(time_s, device, pick * len(airtimes) + sf_slot[device],
+                                 airtime_s[device], link_rssi, link_rssi >= sensitivity[:, None],
                                  cfg.capture_threshold_db)
 
     sent = np.bincount(device, minlength=n)
@@ -328,16 +335,14 @@ def simulate(
     # Energy: per-device count times constant per-uplink cost, exact.
     energy_j = sent * uplink_j
     devices = np.rec.fromarrays(
-        [net.nodes.id, sfs, marginal, best_rssi, sent, *counts,
+        [net.nodes.id, sfs, airtime_s, marginal, best_rssi, sent, *counts,
          energy_j, energy_model.initial_battery_j - energy_j],
-        names="id,sf,coverage_marginal,best_rssi_dbm,sent,delivered,lost_no_coverage,lost_collision,"
+        names="id,sf,airtime_s,coverage_marginal,best_rssi_dbm,sent,delivered,lost_no_coverage,lost_collision,"
               "energy_j,battery_j")
     records = Transmissions(
-        time_s=time_s, device_index=device,
-        channel_hz=np.asarray(cfg.channels_hz, dtype=np.int64)[pick], sf=sfs[device],
-        airtime_s=airtime_by_sf[uplink_sf_slot], best_rssi_dbm=best_rssi[device],
-        outcome_code=outcome, best_gw_index=best_gw,
-        device_ids=devices.id, gateway_ids=tuple(f"gw{j:03d}" for j in range(k)),
+        time_s=time_s, device_index=device, channel_index=pick, outcome_code=outcome, best_gw_index=best_gw,
+        devices=devices, channels_hz=np.asarray(cfg.channels_hz, dtype=np.int64),
+        gateway_ids=tuple(f"gw{j:03d}" for j in range(k)),
     )
 
     sample_times = np.arange(0.0, horizon_s + BATTERY_SAMPLE_S / 2, BATTERY_SAMPLE_S)
@@ -378,18 +383,19 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
     id_rank = np.empty(len(ids), dtype=np.int64)
     id_rank[sorted(every_device.tolist(), key=ids.__getitem__)] = every_device
     order = np.lexsort((id_rank[recs.device_index], recs.time_s))
+    device = recs.device_index[order]
     write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
-        floats(recs.time_s[order]), (id_fields, recs.device_index[order]),
-        distinct(recs.channel_hz[order]), distinct(recs.sf[order]), distinct(recs.airtime_s[order]),
+        floats(recs.time_s[order]), (id_fields, device), text(recs.channels_hz.tolist(), recs.channel_index[order]),
+        text(devices.sf.tolist(), device), text(devices.airtime_s.tolist(), device),
         text([*recs.gateway_ids, ""], recs.best_gw_index[order]),
-        distinct(recs.best_rssi_dbm[order]), text(OUTCOMES, recs.outcome_code[order]),
+        text(devices.best_rssi_dbm.tolist(), device), text(OUTCOMES, recs.outcome_code[order]),
     ])
     fields = ("sent", "delivered", "lost_no_coverage", "lost_collision", "energy_j", "battery_j")
     write_csv(paths["energy"], "device_id,sent,delivered,lost_no_coverage,lost_collision,energy_j,battery_end_j",
               [(id_fields, every_device)] + [(None, devices[field]) for field in fields])
     samples = len(result.energy.sample_times_s)
     write_csv(paths["battery"], "time_s,device_id,battery_j", [
-        distinct(np.repeat(result.energy.sample_times_s, len(ids))),
+        text(result.energy.sample_times_s.tolist(), np.repeat(np.arange(samples), len(ids))),
         (id_fields, np.tile(every_device, samples)), floats(result.energy.battery_j.T.ravel()),
     ])
     return paths

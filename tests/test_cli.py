@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -237,6 +238,17 @@ class TestPlace:
     def test_k_exceeding_nodes_domain_error(self, capsys, inp_file):
         assert main(["place", str(inp_file), "--k", "31", "--strategy", "centrality"]) == 1
         assert "error: KExceedsN:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [31, 10**20])
+    def test_grid_k_exceeding_nodes_is_one_error_line(self, capsys, inp_file, k):
+        """The grid places at most one gateway per node too, and a huge K ends
+        at once instead of searching K grid shapes."""
+        start = time.perf_counter()
+        assert main(["place", str(inp_file), "--k", str(k), "--strategy", "grid"]) == 1
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: KExceedsN: K={k} exceeds node count 30\n"
 
 
 class TestBadAlpha:

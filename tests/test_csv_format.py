@@ -7,6 +7,7 @@ rows with numbers as ``repr(float(...))`` (``repr(int(...))`` for counts).
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hydrolora import (
     tokenize_inp,
 )
 from hydrolora.cli import STRATEGY_NAMES, main
-from hydrolora.csvio import distinct
+from hydrolora.csvio import text
 from hydrolora.hydraulics import HydraulicSeries
 from hydrolora.placement import place
 
@@ -182,9 +183,10 @@ def test_hydraulic_export_round_trips_quoted_ids(tmp_path, pipeline):
     assert links2.read_bytes() == links.read_bytes()
 
 
-def test_distinct_keeps_the_sign_of_zero():
-    for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, -0.0, 2.5, -0.0]):
-        table, index = distinct(np.array(values))
-        assert table[index].tolist() == [repr(v) for v in values]
-    table, index = distinct(np.array([7, -3, 7, 0], dtype=np.int64))
-    assert table[index].tolist() == ["7", "-3", "7", "0"]
+def test_text_writes_python_numbers_as_repr():
+    """Lookup columns of numbers (a device's SF, airtime or best RSSI, a
+    channel, a battery sample time) are written through ``text``."""
+    values = [-0.0, 0.0, 7, -3, math.inf, -math.inf, 5e-324, 0.1]
+    table, index = text(values, np.array([1, 0, 2, 3, 4, 5, 6, 7, 0]))
+    assert table[index].tolist() == ["0.0", "-0.0", "7", "-3", "inf", "-inf", "5e-324", "0.1", "-0.0"]
+    assert text([math.nan])[0].tolist() == [repr(math.nan)]

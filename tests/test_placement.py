@@ -230,6 +230,16 @@ class TestDispatchAndExport:
         with pytest.raises(ValueError):
             place("voronoi", 2, bbox=UNIT)
 
+    @pytest.mark.parametrize("strategy", ["regular_grid", "degree_centrality", "greedy_coverage"])
+    @pytest.mark.parametrize("k", [13, 10**20])
+    def test_place_rejects_k_exceeding_n_for_every_strategy(self, strategy, k):
+        """Given the nodes, every strategy places at most one gateway per node;
+        a huge K is rejected before the grid search walks its rows."""
+        xy, weights, _ = three_cluster_fixture()
+        bbox = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+        with pytest.raises(KExceedsN, match=f"^K={k} exceeds node count 12$"):
+            place(strategy, k, bbox=bbox, node_xy=xy, weights=weights)
+
     def test_export_csv(self, tmp_path):
         gws = regular_grid_deploy(2, UNIT)
         export_gateways_csv(gws, tmp_path / "gws.csv")

@@ -4,6 +4,7 @@ battery, energy identities, and deterministic replay."""
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hydrolora import (
     airtime,
     build_network,
     simulate,
+    synthetic_wds,
     tokenize_inp,
 )
 from hydrolora import sim
@@ -85,6 +87,37 @@ class TestSingleLink:
     def test_gateways_must_be_finite_k_by_2(self, gateways):
         with pytest.raises(NoGateways, match=r"finite \(K, 2\)"):
             simulate(single_device_net(), gateways, horizon_s=10.0)
+
+
+    def test_gateway_beyond_float_squares_is_out_of_range(self):
+        """A finite gateway whose squared distance overflows is heard nowhere
+        (RSSI -inf), and no overflow warning is printed."""
+        net = build_network(tokenize_inp(synthetic_wds(30, 2, seed=3, area_m=(3000.0, 2000.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = simulate(net, [(1e200, 0.0), (500.0, 500.0)], horizon_s=600.0)
+        assert np.all(result.link_rssi_dbm[:, 0] == -np.inf)
+        delivered = result.records.outcome == "delivered"
+        assert delivered.any() and set(result.records.best_gw[delivered].tolist()) == {"gw001"}
+
+
+class TestRecords:
+    def test_uplinks_store_only_per_uplink_columns(self):
+        """A device's id, SF, airtime and best RSSI are stored once, in
+        ``devices``, and read for each uplink through ``device_index``."""
+        net = build_network(tokenize_inp(synthetic_wds(30, 2, seed=3)))
+        result = simulate(net, [tuple(net.coordinates().min(axis=0))], horizon_s=1800.0, seed=4)  # SF7 to SF12
+        recs, devices = result.records, result.devices
+        assert [field.name for field in dataclasses.fields(recs)] == [
+            "time_s", "device_index", "channel_index", "outcome_code", "best_gw_index",
+            "devices", "channels_hz", "gateway_ids"]
+        assert recs.devices is devices and len(set(devices.sf.tolist())) > 1 and len(recs) > 100
+        for name, field in [("device_id", "id"), ("sf", "sf"), ("airtime_s", "airtime_s"),
+                            ("best_rssi_dbm", "best_rssi_dbm")]:
+            assert getattr(recs, name).tolist() == devices[field][recs.device_index].tolist()
+        assert devices.airtime_s.tolist() == [airtime(sf, RadioConfig()) for sf in devices.sf.tolist()]
+        assert recs.channel_hz.dtype == np.int64
+        assert recs.channel_hz.tolist() == [RadioConfig().channels_hz[c] for c in recs.channel_index.tolist()]
 
 
 class TestCollisions:
@@ -334,6 +367,18 @@ class TestExport:
                                             for c in ("time_s", "airtime_s", "best_rssi_dbm"))
         assert rows[1] == (f"{time_s!r},D1,868100000,7,{airtime_s!r},"
                            f"gw000,{best_rssi_dbm!r},delivered")
+
+    def test_float_channels_written_as_integer_hz(self, tmp_path):
+        """A library caller's ``868.1e6`` is written as ``868100000``, as an int is."""
+        paths = {}
+        for name, channels in [("float", (868.1e6, 868.3e6, 868.5e6)), ("int", RadioConfig().channels_hz)]:
+            result = simulate(single_device_net(), [(10.0, 0.0)], RadioConfig(channels_hz=channels),
+                              horizon_s=7200.0, seed=2)
+            paths[name] = export_wireless_csv(result, tmp_path / name)["transmissions"]
+        with open(paths["float"], newline="") as handle:
+            hz = {row[2] for row in list(csv.reader(handle))[1:]}
+        assert hz == {"868100000", "868300000", "868500000"}
+        assert paths["float"].read_bytes() == paths["int"].read_bytes()
 
     def test_reexport_of_loaded_export_is_byte_identical(self, tmp_path):
         result = simulate(single_device_net(), [(10.0, 0.0)], horizon_s=7200.0, seed=2)
