@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-_ROWS_PER_WRITE = 1 << 16  # rows formatted at a time, which bounds the memory of the strings
+_ROWS_PER_WRITE = 1 << 13  # rows formatted at a time, which bounds the memory of the strings
 
 
 def text(values, index=None):

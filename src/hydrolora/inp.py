@@ -53,12 +53,18 @@ NODE_SECTIONS = ("JUNCTIONS", "RESERVOIRS", "TANKS")
 LINK_SECTIONS = ("PIPES", "PUMPS", "VALVES")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InpRow:
-    """One data row: source line number plus whitespace-split tokens."""
+    """One data row: source line number plus its text, comment and outer
+    whitespace removed.  ``tokens`` splits the text on whitespace on every
+    access, so a document holds one string per row, not one per token."""
 
     line: int
-    tokens: tuple[str, ...]
+    text: str
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self.text.split())
 
 
 @dataclass
@@ -104,7 +110,7 @@ def tokenize_inp(text: str | bytes) -> InpDocument:
             continue
         if current is None:
             raise RowOutsideSection(f"line {lineno}: data before any section header")
-        current.append(InpRow(lineno, tuple(line.split())))
+        current.append(InpRow(lineno, line))
     return doc
 
 
@@ -166,19 +172,22 @@ class WaterNetwork:
         }
 
 
-def _float(section: str, row: InpRow, pos: int, what: str) -> float:
+def _float(section: str, line: int, token: str, what: str) -> float:
     try:
-        value = float(row.tokens[pos])
+        value = float(token)
     except ValueError:
-        raise MalformedRow(section, row.line, f"{what} {row.tokens[pos]!r} is not a number") from None
+        raise MalformedRow(section, line, f"{what} {token!r} is not a number") from None
     if not math.isfinite(value):
-        raise MalformedRow(section, row.line, f"{what} {row.tokens[pos]!r} is not finite")
+        raise MalformedRow(section, line, f"{what} {token!r} is not finite")
     return value
 
 
-def _need(section: str, row: InpRow, count: int) -> None:
-    if len(row.tokens) < count:
-        raise MalformedRow(section, row.line, f"expected at least {count} fields, got {len(row.tokens)}")
+def _fields(section: str, row: InpRow, count: int) -> list[str]:
+    """The row's tokens, split once, after checking there are at least ``count``."""
+    tokens = row.text.split()
+    if len(tokens) < count:
+        raise MalformedRow(section, row.line, f"expected at least {count} fields, got {len(tokens)}")
+    return tokens
 
 
 def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwork:
@@ -215,14 +224,14 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
         if section not in NODE_SECTIONS:
             continue
         for row in doc.rows(section):
-            _need(section, row, 2)
-            node_id = row.tokens[0]
+            tokens = _fields(section, row, 2)
+            node_id = tokens[0]
             if node_id in node_row:
                 raise DuplicateId(f"node {node_id!r} defined twice")
-            elevation = _float(section, row, 1, "elevation/head")
+            elevation = _float(section, row.line, tokens[1], "elevation/head")
             demand = 0.0
-            if section == "JUNCTIONS" and len(row.tokens) >= 3:
-                demand = _float(section, row, 2, "demand")
+            if section == "JUNCTIONS" and len(tokens) >= 3:
+                demand = _float(section, row.line, tokens[2], "demand")
             node_row[node_id] = len(nodes)
             nodes.append((node_id, kind_of[section], elevation, demand, row.line))
 
@@ -232,8 +241,8 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
         if section not in LINK_SECTIONS:
             continue
         for row in doc.rows(section):
-            _need(section, row, 5 if section == "PIPES" else 3)
-            link_id, from_node, to_node = row.tokens[0], row.tokens[1], row.tokens[2]
+            tokens = _fields(section, row, 5 if section == "PIPES" else 3)
+            link_id, from_node, to_node = tokens[:3]
             if link_id in link_ids:
                 raise DuplicateId(f"link {link_id!r} defined twice")
             for endpoint in (from_node, to_node):
@@ -243,8 +252,8 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
                 raise SelfLoop(link_id)
             length = diameter = math.nan
             if section == "PIPES":
-                length = _float(section, row, 3, "length")
-                diameter = _float(section, row, 4, "diameter")
+                length = _float(section, row.line, tokens[3], "length")
+                diameter = _float(section, row.line, tokens[4], "diameter")
                 if length <= 0 or diameter <= 0:
                     raise MalformedRow(section, row.line, "pipe length and diameter must be positive")
             links.append((link_id, kind_of[section], node_row[from_node], node_row[to_node], length, diameter))
@@ -254,21 +263,21 @@ def build_network(doc: InpDocument, coordinate_scale: float = 1.0) -> WaterNetwo
     extra_demand: dict[str, float] = {}
     junction_ids = {n[0] for n in nodes if n[1] == "junction"}
     for row in doc.rows("DEMANDS"):
-        _need("DEMANDS", row, 2)
-        node_id = row.tokens[0]
+        tokens = _fields("DEMANDS", row, 2)
+        node_id = tokens[0]
         if node_id not in junction_ids:
             raise MalformedRow("DEMANDS", row.line, f"{node_id!r} is not a junction")
-        extra_demand[node_id] = extra_demand.get(node_id, 0.0) + _float("DEMANDS", row, 1, "demand")
+        extra_demand[node_id] = extra_demand.get(node_id, 0.0) + _float("DEMANDS", row.line, tokens[1], "demand")
 
     positions: dict[str, tuple[float, float]] = {}
     for row in doc.rows("COORDINATES"):
-        _need("COORDINATES", row, 3)
-        node_id = row.tokens[0]
+        tokens = _fields("COORDINATES", row, 3)
+        node_id = tokens[0]
         if node_id not in node_row:
             warnings.append(f"coordinate entry for unknown node {node_id!r} ignored")
             continue
-        x = _float("COORDINATES", row, 1, "x") * coordinate_scale
-        y = _float("COORDINATES", row, 2, "y") * coordinate_scale
+        x = _float("COORDINATES", row.line, tokens[1], "x") * coordinate_scale
+        y = _float("COORDINATES", row.line, tokens[2], "y") * coordinate_scale
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MalformedRow("COORDINATES", row.line,
                                f"coordinates of {node_id!r} overflow when scaled by {coordinate_scale}")

@@ -142,13 +142,18 @@ class PropagationModel:
 def path_loss_db(distance_m, model: PropagationModel = PropagationModel()):
     """Deterministic path loss in dB; distances are clamped to 1 m.  Works in
     place on one copy of the distances."""
-    loss = np.array(distance_m, dtype=np.float64)
-    np.maximum(loss, 1.0, out=loss)
-    loss /= model.ref_distance_m
-    np.log10(loss, out=loss)
-    loss *= 10.0 * model.exponent
-    loss += model.ref_loss_db
+    loss = _path_loss_in_place(np.array(distance_m, dtype=np.float64), model)
     return float(loss) if np.isscalar(distance_m) else loss
+
+
+def _path_loss_in_place(distance: np.ndarray, model: PropagationModel) -> np.ndarray:
+    """``path_loss_db`` of a float64 array, written over it."""
+    np.maximum(distance, 1.0, out=distance)
+    distance /= model.ref_distance_m
+    np.log10(distance, out=distance)
+    distance *= 10.0 * model.exponent
+    distance += model.ref_loss_db
+    return distance
 
 
 def link_rssi_matrix(
@@ -169,7 +174,7 @@ def link_rssi_matrix(
     with np.errstate(over="ignore"):  # squares past the float range are inf: RSSI -inf
         distance = _sq_dist(device_xy, gateway_xy)
     np.sqrt(distance, out=distance)
-    loss = path_loss_db(distance, model)
+    loss = _path_loss_in_place(distance, model)
     if shadowing_db is not None:
         loss += shadowing_db
     return np.subtract(cfg.tx_power_dbm, loss, out=loss)

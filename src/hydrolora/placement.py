@@ -22,7 +22,7 @@ DEGREE_CENTRALITY = "degree_centrality"
 GREEDY_COVERAGE = "greedy_coverage"
 STRATEGIES = (REGULAR_GRID, DEGREE_CENTRALITY, GREEDY_COVERAGE)
 KMEANS_MAX_ITER = 100
-_PAIRS_PER_BLOCK = 1 << 15  # candidate pairs handled at a time, which bounds the memory of neighbour lists
+_PAIRS_PER_BLOCK = 1 << 15  # point pairs handled at a time, which bounds the memory of neighbour lists and distances
 
 
 @dataclass
@@ -138,13 +138,16 @@ def _sq_extent_finite(width: float, height: float) -> bool:
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared distances between two point sets, as
     ``dx * dx + dy * dy``: the bits of ``((a[:, None] - b[None]) ** 2).sum(axis=2)``
-    without its (len(a), len(b), 2) temporaries."""
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
+    without its (len(a), len(b), 2) temporaries.  ``dy * dy`` is added a block
+    of at most ``_PAIRS_PER_BLOCK`` pairs at a time."""
+    sq = a[:, 0, None] - b[None, :, 0]
+    sq *= sq
+    rows = max(1, _PAIRS_PER_BLOCK // max(1, len(b)))
+    for lo in range(0, len(a), rows):
+        dy = a[lo:lo + rows, 1, None] - b[None, :, 1]
+        dy *= dy
+        sq[lo:lo + rows] += dy
+    return sq
 
 
 def degree_centrality_deploy(
@@ -244,8 +247,10 @@ def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray
     span / 2**30, so cell keys stay far inside int64.
 
     Rows are walked in blocks of at most ``_PAIRS_PER_BLOCK`` candidate
-    pairs, and each block sorts its own pair keys, so the memory above the
-    result is bounded by the block, not by N * deg.
+    pairs, and each block sorts its own pair keys and writes its columns into
+    ``indices``, so the memory above the result is bounded by the block, not
+    by N * deg.  ``indices`` is allocated for every candidate pair and trimmed
+    in place at the end: only the pages written are ever resident.
     """
     n = len(node_xy)
     lo = node_xy.min(axis=0)
@@ -263,8 +268,7 @@ def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray
     ends = np.concatenate([[0], np.cumsum(count.sum(axis=0))])
     x, y = node_xy[:, 0], node_xy[:, 1]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    column_type = np.int32 if n < 2**31 else np.int64
-    blocks = []
+    indices = np.empty(int(ends[-1]), dtype=np.int32 if n < 2**31 else np.int64)
     for a, b in _row_blocks(ends):
         block_count = count[:, a:b].ravel()
         i = np.repeat(np.tile(np.arange(a, b), 9), block_count)
@@ -274,11 +278,11 @@ def _radius_neighbours(node_xy: np.ndarray, radius_m: float) -> tuple[np.ndarray
         keep = dx * dx + dy * dy <= radius_m * radius_m
         pair_key = (i[keep] - a) * n + j[keep]
         pair_key.sort()
-        indptr[a + 1:b + 1] = np.bincount(pair_key // n, minlength=b - a)
+        indptr[a + 1:b + 1] = np.cumsum(np.bincount(pair_key // n, minlength=b - a)) + indptr[a]
         pair_key %= n
-        blocks.append(pair_key.astype(column_type))
-    np.cumsum(indptr, out=indptr)
-    return indptr, np.concatenate(blocks)
+        indices[indptr[a]:indptr[b]] = pair_key
+    indices.resize(indptr[-1], refcheck=False)
+    return indptr, indices
 
 
 def greedy_coverage_deploy(

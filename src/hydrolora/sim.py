@@ -176,7 +176,10 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     last = np.zeros(n)  # start of each device's latest uplink
     # Periodic: the gap the next round starts with; the first round starts at the phase.
     pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
-    parts = []
+    # Start times, device indices and channel picks, filled up to ``size``.  Each is
+    # regrown to twice what it must hold, one column at a time; the pages past
+    # ``size`` are never written, so they are never resident.
+    columns, size = [np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)], 0
     for lo in range(0, active.size, _DEVICES_PER_BLOCK):
         block = active[lo:lo + _DEVICES_PER_BLOCK]
         states = dict(zip(block.tolist(), substream_states(seed, "traffic", last=block.tolist())))
@@ -209,53 +212,85 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
 
             count = np.minimum((times < horizon_s).sum(axis=1), max_sends[block] - sent[block])
             take = np.arange(ROUND) < count[:, None]
-            parts.append((times[take], np.repeat(block, count), picks[take]))
+            end = size + int(count.sum())
+            if end > len(columns[0]):
+                for c, column in enumerate(columns):
+                    columns[c] = np.empty(2 * end, dtype=column.dtype)
+                    columns[c][:size] = column[:size]
+            for column, part in zip(columns, (times[take], np.repeat(block, count), picks[take])):
+                column[size:end] = part
+            size = end
             sent[block] += count
             last[block] = times[:, -1]
             block = block[(count == ROUND) & (sent[block] < max_sends[block])]
             first = False
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    for column in columns:
+        column.resize(size, refcheck=False)
+    return tuple(columns)
 
 
-def _outcomes(time_s, device, group, airtime_s, link_rssi, hearable, capture_db):
-    """Outcome code and best gateway index of every uplink, given in start order.
+def _unique_below(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of integers in [0, size), found
+    by marking and ranking them in one size-long array instead of by sorting."""
+    rank = np.zeros(size, dtype=np.intp)
+    rank[values] = 1
+    distinct = np.flatnonzero(rank)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[values]
 
-    Overlap: within a (channel, SF) group the airtime is constant, so an
-    uplink's partners are its nearest predecessors in the group; sweep
-    offsets d = 1, 2, ... over the uplinks that still overlapped at d - 1.
-    Capture is resolved only for overlapped uplinks of covered devices, at
-    their hearable gateways, strongest first: the first gateway where the
-    copy beats every partner by the threshold is the strongest surviving one.
+
+def _outcomes(time_s, device, group, group_airtime_s, link_rssi, hearable, capture_db):
+    """Outcome code and best gateway index of every uplink, given in start order;
+    ``group`` numbers each uplink's (channel, SF) group, and ``group_airtime_s``
+    holds each group's airtime.
+
+    Overlap: within a group the airtime is constant, so an uplink's partners
+    are its nearest predecessors in the group; sweep offsets d = 1, 2, ...
+    over the uplinks that still overlapped at d - 1.  Capture is resolved
+    only for overlapped uplinks of covered devices, at their hearable
+    gateways, strongest first: the first gateway where the copy beats every
+    partner by the threshold is the strongest surviving one.  An uncontested
+    copy of a covered device goes to its strongest gateway: hearability is a
+    per-device RSSI threshold, so that gateway clears it whenever any does.
     """
-    hear_any = hearable.any(axis=1)
-    outcome = np.where(hear_any[device], 0, 1).astype(np.int8)  # delivered, else no_coverage
-    best_gw = np.where(hear_any[device], np.where(hearable, link_rssi, -np.inf).argmax(axis=1)[device], -1)
-
     by_group = np.argsort(group, kind="stable")
-    t, g, end = time_s[by_group], group[by_group], (time_s + airtime_s)[by_group]
+    g, t = group[by_group], time_s[by_group]
+    end = group_airtime_s[g]
+    end += t
     later_parts, earlier_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    later, d = np.arange(1, len(t)), 1
+    later, d = np.flatnonzero((g[1:] == g[:-1]) & (t[1:] < end[:-1])) + 1, 1  # d = 1 over slices
     while later.size:
-        later = later[(g[later] == g[later - d]) & (t[later] < end[later - d])]
         later_parts.append(by_group[later])
         earlier_parts.append(by_group[later - d])
         later, d = later[later > d], d + 1
+        later = later[(g[later] == g[later - d]) & (t[later] < end[later - d])]
+    del by_group, g, t, end
     receiver = np.concatenate(later_parts + earlier_parts)
     interferer = np.concatenate(earlier_parts + later_parts)
+    del later_parts, earlier_parts
+
+    hear_any = hearable.any(axis=1)
+    outcome = np.where(hear_any, 0, 1).astype(np.int8)[device]  # delivered, else no_coverage
+    best_gw = np.where(hear_any, link_rssi.argmax(axis=1), -1)[device]
     covered = hear_any[device[receiver]]
-    contested, slot = np.unique(receiver[covered], return_inverse=True)
+    contested, slot = _unique_below(receiver[covered], len(device))
     interferer = device[interferer[covered]]
+    del receiver, covered
     outcome[contested], best_gw[contested] = OUTCOMES.index("collided"), -1
 
-    # Hearable gateways of every device, strongest first; stable, so equals keep index order.
-    hear_dev, hear_gw = np.nonzero(hearable)
-    hear_gw = hear_gw[np.lexsort((-link_rssi[hear_dev, hear_gw], hear_dev))]
-    first_gw = np.searchsorted(hear_dev, np.arange(len(hearable) + 1))
-    tries = np.diff(first_gw)[device[contested]]
+    # Hearable gateways of each device with a contested uplink, strongest first;
+    # stable, so equals keep index order.
+    contenders, contender = _unique_below(device[contested], len(hearable))
+    hear_dev, hear_gw = np.nonzero(hearable[contenders])
+    hear_gw = hear_gw[np.lexsort((-link_rssi[contenders[hear_dev], hear_gw], hear_dev))]
+    first_gw = np.searchsorted(hear_dev, np.arange(len(contenders) + 1))
+    # A contested uplink tries the gateways hear_gw[at:at + tries] in turn.
+    at, tries = first_gw[contender], np.diff(first_gw)[contender]
+    del contender
     undecided, rank = np.arange(len(contested)), 0
     gw_of = np.zeros(len(contested), dtype=np.int64)
     while undecided.size:
-        gw_of[undecided] = hear_gw[first_gw[device[contested[undecided]]] + rank]
+        gw_of[undecided] = hear_gw[at[undecided] + rank]
         strongest = np.full(len(contested), -np.inf)
         np.maximum.at(strongest, slot, link_rssi[interferer, gw_of[slot]])
         own = link_rssi[device[contested[undecided]], gw_of[undecided]]
@@ -324,11 +359,18 @@ def simulate(
     sensitivity = np.array([cfg.sensitivity_dbm[sf] for sf in cfg.sfs()])[sf_slot]
 
     time_s, device, pick = _traffic(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
+    # Start order, one column at a time, so that at most one column is held twice.
     order = np.lexsort((device, time_s))
-    time_s, device, pick = time_s[order], device[order], pick[order]
-    outcome, best_gw = _outcomes(time_s, device, pick * len(airtimes) + sf_slot[device],
-                                 airtime_s[device], link_rssi, link_rssi >= sensitivity[:, None],
-                                 cfg.capture_threshold_db)
+    time_s = time_s[order]
+    device = device[order]
+    pick = pick[order]
+    del order
+    # (channel, SF) group numbers in the smallest integer type that holds them.
+    group = pick.astype(np.min_scalar_type(len(cfg.channels_hz) * len(airtimes) - 1))
+    group *= len(airtimes)
+    group += sf_slot.astype(group.dtype)[device]
+    outcome, best_gw = _outcomes(time_s, device, group, np.tile(airtimes, len(cfg.channels_hz)), link_rssi,
+                                 link_rssi >= sensitivity[:, None], cfg.capture_threshold_db)
 
     sent = np.bincount(device, minlength=n)
     counts = [np.bincount(device[outcome == code], minlength=n) for code in range(len(OUTCOMES))]
@@ -349,7 +391,8 @@ def simulate(
     # An uplink drains the battery from the first sample at or after its start.
     slot = np.searchsorted(sample_times, time_s, side="left")
     width = len(sample_times) + 1
-    drained = np.bincount(device * width + slot, minlength=n * width).reshape(n, width).cumsum(axis=1)
+    slot += device * width
+    drained = np.bincount(slot, minlength=n * width).reshape(n, width).cumsum(axis=1)
     battery = energy_model.initial_battery_j - drained[:, :-1] * uplink_j[:, None]
 
     delivered, lost_nc, lost_col = (int(c.sum()) for c in counts)
@@ -382,7 +425,9 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
 
     id_rank = np.empty(len(ids), dtype=np.int64)
     id_rank[sorted(every_device.tolist(), key=ids.__getitem__)] = every_device
-    order = np.lexsort((id_rank[recs.device_index], recs.time_s))
+    order = slice(None)  # start order is already export order unless two uplinks start at once
+    if not (recs.time_s[1:] > recs.time_s[:-1]).all():
+        order = np.lexsort((id_rank[recs.device_index], recs.time_s))
     device = recs.device_index[order]
     write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
         floats(recs.time_s[order]), (id_fields, device), text(recs.channels_hz.tolist(), recs.channel_index[order]),

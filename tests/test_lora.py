@@ -169,6 +169,13 @@ class TestPathLoss:
         assert np.array_equal(link_rssi_matrix(devices, gateways, cfg, model, shadowing),
                               cfg.tx_power_dbm - (loss + shadowing))
 
+    def test_path_loss_leaves_its_argument_unchanged(self):
+        """``link_rssi_matrix`` overwrites its own distances; ``path_loss_db`` copies."""
+        distance = np.array([[0.0, 0.5, 1.0], [999.5, 1e3, 2.5e4]])
+        before = distance.copy()
+        path_loss_db(distance)
+        assert np.array_equal(distance, before)
+
     def test_matrix_shape_and_shadowing(self):
         cfg = RadioConfig()
         devices = np.array([[0.0, 0.0], [100.0, 0.0]])

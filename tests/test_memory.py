@@ -7,7 +7,9 @@ peak above what was resident going in: its result and its transients.
 
 - Radius neighbour lists of the 4419-node network at 1000 m: 2.8 M pairs,
   an 11 MB int32 result.  Built with one global sort of int64 pair keys the
-  rise here was 63 MB; built a block of rows at a time it is 25 MB.
+  rise here was 63 MB; built a block of rows at a time, with the blocks and
+  their concatenation live together, 25 MB; with each block written into
+  one result array, 17 MB.
 - Ingest of a 25-step hydraulic series of the same network, 9 MB of CSV,
   with "\n" and with "\r\n" line ends.  Split into fields all at once the
   rise was 51 MB for either; a block of bytes at a time it is 19 MB for
@@ -16,7 +18,17 @@ peak above what was resident going in: its result and its transients.
 - Traffic of the same network's 4419 devices over 1 h (poisson, 300 s mean,
   SF7 duty-cycle floor): 52 895 uplinks, a 1.2 MiB result.  With the round
   arrays of every active device (N x 256 each) live at once the rise here
-  was 38 MB; walking the devices 256 at a time it is 4.0 MB.
+  was 38 MB; walking the devices 256 at a time it is 4.0 to 5.0 MB.
+- One 1 h simulation of the same network at K = 96 on a regular grid, plus
+  the export of its CSVs: 52 895 uplinks.  The rise here was 17.5 MB while
+  the simulator held several copies of its per-uplink and N x K arrays and
+  the export formatted 65 536 rows at a time; it is 11.6 MB.
+
+``read_inp`` of the same network (395 kB of INP text) is measured by what
+it leaves resident, in a process that has parsed nothing before: the
+network keeps about 0.9 MB of objects, but the arenas they pin stay too.
+With a tuple of token strings per row the rise was 9.4 MB; with one string
+per row, split once while the network is built, it is 6.1 MB.
 """
 
 import os
@@ -31,20 +43,25 @@ from hydrolora import HydraulicSeries, build_network, export_hydraulic_csv, synt
 
 ROOT = Path(__file__).resolve().parent.parent
 PAPER_FIXTURE = dict(n_nodes=4419, n_reservoirs=3, seed=0)
-NEIGHBOURS_MAX_MB = 32.0
+NEIGHBOURS_MAX_MB = 20.0
 INGEST_MAX_MB = 35.0
 TRAFFIC_MAX_MB = 16.0
+READ_INP_MAX_MB = 8.0
+SIMULATION_MAX_MB = 13.0
 
-STAGE = """\
-import numpy as np
-from hydrolora import (EnergyModel, RadioConfig, airtime, build_network, ingest_hydraulic_csv, synthetic_wds,
-                       tokenize_inp)
-from hydrolora.placement import _radius_neighbours
-from hydrolora.sim import TrafficModel, _traffic
-
+STATUS = """\
 def status(field):
     with open("/proc/self/status") as handle:
         return next(int(line.split()[1]) for line in handle if line.startswith(field + ":")) / 1024
+
+"""
+# The stage's high-water mark above what was resident after the fixture was parsed.
+STAGE = STATUS + """\
+import numpy as np
+from hydrolora import (EnergyModel, RadioConfig, airtime, build_network, export_wireless_csv, ingest_hydraulic_csv,
+                       regular_grid_deploy, simulate, synthetic_wds, tokenize_inp)
+from hydrolora.placement import _radius_neighbours
+from hydrolora.sim import TrafficModel, _traffic
 
 net = build_network(tokenize_inp(synthetic_wds(**{fixture!r})))
 xy = net.coordinates()
@@ -56,14 +73,22 @@ before = status("VmRSS")
 {stage}
 print(status("VmHWM") - before)
 """
+# What the stage leaves resident when it is the first thing the process does.
+RESIDENT = STATUS + """\
+from hydrolora import read_inp
+
+before = status("VmRSS")
+{stage}
+print(status("VmRSS") - before)
+"""
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
 
 
-def start(stage: str) -> subprocess.Popen:
+def start(stage: str, script: str = STAGE) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-c", STAGE.format(fixture=PAPER_FIXTURE, stage=stage)],
+    return subprocess.Popen([sys.executable, "-c", script.format(fixture=PAPER_FIXTURE, stage=stage)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -105,3 +130,15 @@ def test_neighbour_lists_and_ingest_stay_within_their_memory_bounds(tmp_path):
 def test_traffic_stays_within_its_memory_bound():
     traffic = start("result = _traffic(10, TrafficModel(), 3, min_gap, max_sends, 3600.0)")
     assert rise_mb(traffic) <= TRAFFIC_MAX_MB
+
+
+def test_read_inp_leaves_little_resident(tmp_path):
+    inp = tmp_path / "network.inp"
+    inp.write_text(synthetic_wds(**PAPER_FIXTURE), encoding="utf-8")
+    assert rise_mb(start(f"net = read_inp({str(inp)!r})", RESIDENT)) <= READ_INP_MAX_MB
+
+
+def test_simulation_and_export_stay_within_their_memory_bound(tmp_path):
+    simulation = start("result = simulate(net, regular_grid_deploy(96, net.bbox), horizon_s=3600.0, seed=10)\n"
+                       f"export_wireless_csv(result, {str(tmp_path)!r})")
+    assert rise_mb(simulation) <= SIMULATION_MAX_MB

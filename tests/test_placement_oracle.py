@@ -233,6 +233,28 @@ def test_kmeans_matches_oracle_on_paper_fixture(k, scale, snap):
     assert_same_kmeans(k, net.coordinates() * scale, fixture_weights(net), snap)
 
 
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(rows=st.integers(0, 40), cols=st.integers(0, 7), pairs_per_block=st.sampled_from([1, 6, 7, 40]),
+       seed=st.integers(0, 3), integer=st.booleans())
+@example(rows=0, cols=3, pairs_per_block=6, seed=0, integer=False)
+@example(rows=1, cols=3, pairs_per_block=6, seed=0, integer=False)
+@example(rows=2, cols=3, pairs_per_block=6, seed=0, integer=False)  # one full block
+@example(rows=3, cols=3, pairs_per_block=6, seed=0, integer=False)  # a block and a row
+@example(rows=50, cols=4, pairs_per_block=placement._PAIRS_PER_BLOCK, seed=1, integer=False)
+def test_sq_dist_keeps_the_bits_of_the_dense_expression(rows, cols, pairs_per_block, seed, integer):
+    """``_sq_dist`` adds ``dy * dy`` a block of rows at a time; any block size
+    must give the bits of the (rows, cols, 2) expression."""
+    rng = substream(seed, "sq-dist-oracle")
+    a, b = rng.uniform(-1e4, 1e4, (rows, 2)), rng.uniform(-1e4, 1e4, (cols, 2))
+    if integer:  # coincident points and exact squares
+        a, b = np.round(a / 1e3), np.round(b / 1e3)
+    with mock.patch.object(placement, "_PAIRS_PER_BLOCK", pairs_per_block):
+        got = placement._sq_dist(a, b)
+    expected = ((a[:, None] - b[None]) ** 2).sum(axis=2)
+    assert got.shape == expected.shape == (rows, cols)
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("fixture,ks", [(FIXTURE, SWEEP_KS),
                                         (dict(n_nodes=4419, n_reservoirs=3, seed=0), (77, 96, 117, 140, 165))])
 @pytest.mark.parametrize("scale", [1.0, 3.0])

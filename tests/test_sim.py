@@ -346,6 +346,27 @@ class TestTrafficRounds:
         assert sorted_traffic(sim._traffic(*args)) == expected
 
 
+class TestBestGateway:
+    """An uplink's best gateway is the strongest hearable one, the first by
+    index among equals: ``np.where(hearable, rssi, -inf).argmax(axis=1)``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_best_gateway_is_the_masked_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, uplinks = rng.integers(1, 9), rng.integers(1, 6), rng.integers(0, 60)
+        link_rssi = rng.choice([-140.0, -125.0, -120.0, -120.0, -110.0, -np.inf], size=(n, k))  # ties
+        hearable = link_rssi >= rng.choice([-130.0, -122.0, -115.0], size=n)[:, None]
+        masked = np.where(hearable.any(axis=1), np.where(hearable, link_rssi, -np.inf).argmax(axis=1), -1)
+        time_s = np.sort(rng.choice([0.0, 0.5, 1.0, 2.0, 7.0], size=uplinks))
+        device = rng.integers(0, n, size=uplinks)
+        group = rng.integers(0, 2, size=uplinks).astype(np.uint8)
+        airtime = np.array([0.8, 1.6])
+        # With no capture threshold every covered copy survives at its strongest gateway, contested or not.
+        outcome, best_gw = sim._outcomes(time_s, device, group, airtime, link_rssi, hearable, -np.inf)
+        assert best_gw.tolist() == masked[device].tolist()
+        assert outcome.tolist() == np.where(masked[device] >= 0, 0, 1).tolist()
+
+
 class TestExport:
     def test_empty_results_header_only(self, tmp_path):
         result = simulate(single_device_net(), [(10.0, 0.0)], horizon_s=0.0, seed=1)
