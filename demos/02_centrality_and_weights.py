@@ -28,7 +28,7 @@ if not inp_path.exists():
 
 net = read_inp(inp_path)
 adj = build_adjacency(net)
-print("graph:", graph_stats(adj).as_dict())
+print("graph:", graph_stats(adj))
 
 cv = degree_centrality(adj)
 top = np.argsort(cv.centrality)[::-1][:5]

@@ -118,7 +118,7 @@ def cmd_graph(args) -> int:
     net = read_inp(args.inp, coordinate_scale=args.scale)
     adj = build_adjacency(net)
     if args.csv is None:
-        _print_json(graph_stats(adj).as_dict())
+        _print_json(graph_stats(adj))
         return 0
     cv = degree_centrality(adj)
     centrality_csv(cv, None if args.csv == "-" else args.csv)

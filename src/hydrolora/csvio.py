@@ -45,4 +45,4 @@ def write_csv(path, header: str, columns) -> None:
             part = slice(lo, lo + _ROWS_PER_WRITE)
             fields = [list(map(repr, index[part].tolist())) if table is None else table[index[part]].tolist()
                       for table, index in columns]
-            handle.writelines(",".join(row) + "\n" for row in zip(*fields))
+            handle.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -2,14 +2,14 @@
 
 The adjacency is a symmetric 0/1 structure: an edge exists between two nodes
 iff at least one link (pipe, pump, or valve) connects them, parallel links
-saturate to a single edge, and the diagonal is zero.  Storage is sparse
-neighbor lists; a dense matrix would not scale to the tens of thousands of
-nodes this is meant for.
+saturate to a single edge, and the diagonal is zero.  Storage is CSR, one
+index array over all nodes (the layout of ``placement._radius_neighbours``);
+a dense matrix would not scale to the tens of thousands of nodes this is
+meant for.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +21,12 @@ from .inp import WaterNetwork
 
 @dataclass
 class Adjacency:
-    """Sparse symmetric adjacency over node indices, zero diagonal."""
+    """Sparse symmetric adjacency over node indices, zero diagonal, as CSR:
+    node i's neighbours are ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
 
     node_ids: np.ndarray  # the network's ``nodes.id`` column
-    neighbors: list[np.ndarray]  # sorted index arrays, one per node
+    indptr: np.ndarray  # (n + 1,) offsets into ``indices``
+    indices: np.ndarray  # every node's neighbour indices, row after row
 
     @property
     def n(self) -> int:
@@ -32,13 +34,16 @@ class Adjacency:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return len(self.indices) // 2
+
+    def neighbors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(np.isin(j, self.neighbors[i]).item())
+        return bool(np.isin(j, self.neighbors(i)).item())
 
 
 @dataclass
@@ -63,8 +68,23 @@ def build_adjacency(net: WaterNetwork) -> Adjacency:
     i, j = net.links.from_index, net.links.to_index
     # Both directions of every connected pair, once each, sorted by (from, to).
     keys = np.unique(np.concatenate([i * n + j, j * n + i]))
-    neighbors = np.split(keys % n, np.searchsorted(keys // n, np.arange(1, n)))
-    return Adjacency(node_ids=net.nodes.id, neighbors=neighbors)
+    return Adjacency(node_ids=net.nodes.id, indptr=np.searchsorted(keys // n, np.arange(n + 1)), indices=keys % n)
+
+
+def breadth_first(adj: Adjacency, sources: list[int], parent: np.ndarray) -> list[int]:
+    """Walk breadth-first from ``sources`` over the nodes whose ``parent`` is
+    still -1; return the nodes reached, in FIFO discovery order, each node's
+    neighbours taken ascending.  Each source becomes its own parent, and every
+    other node reached gets the node that discovered it."""
+    indptr, indices = adj.indptr, adj.indices
+    order = list(sources)
+    parent[order] = order
+    for u in order:  # ``order`` grows while it is walked: it is the queue
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return order
 
 
 def degree_centrality(adj: Adjacency) -> CentralityVector:
@@ -77,52 +97,28 @@ def degree_centrality(adj: Adjacency) -> CentralityVector:
 
 
 def connected_components(adj: Adjacency) -> np.ndarray:
-    """Component label per node via breadth-first traversal, deterministic."""
-    labels = np.full(adj.n, -1, dtype=np.int64)
+    """Component label per node, numbered in order of each component's
+    lowest node index."""
+    labels = np.empty(adj.n, dtype=np.int64)
+    parent = np.full(adj.n, -1, dtype=np.int64)
     current = 0
     for start in range(adj.n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj.neighbors[u]:
-                if labels[v] < 0:
-                    labels[v] = current
-                    queue.append(int(v))
-        current += 1
+        if parent[start] < 0:
+            labels[breadth_first(adj, [start], parent)] = current
+            current += 1
     return labels
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    edge_count: int
-    degree_min: int
-    degree_max: int
-    degree_mean: float
-    components: int
-
-    def as_dict(self) -> dict:
-        return {
-            "edges": self.edge_count,
-            "degree_min": self.degree_min,
-            "degree_max": self.degree_max,
-            "degree_mean": self.degree_mean,
-            "components": self.components,
-        }
-
-
-def graph_stats(adj: Adjacency) -> GraphStats:
+def graph_stats(adj: Adjacency) -> dict:
+    """Edge count, degree range and mean, and connected component count."""
     degree = adj.degrees()
-    n_components = int(connected_components(adj).max()) + 1
-    return GraphStats(
-        edge_count=adj.edge_count,
-        degree_min=int(degree.min()),
-        degree_max=int(degree.max()),
-        degree_mean=float(degree.mean()),
-        components=n_components,
-    )
+    return {
+        "edges": adj.edge_count,
+        "degree_min": int(degree.min()),
+        "degree_max": int(degree.max()),
+        "degree_mean": float(degree.mean()),
+        "components": int(connected_components(adj).max()) + 1,
+    }
 
 
 def centrality_csv(cv: CentralityVector, path=None) -> None:

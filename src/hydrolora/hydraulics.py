@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .csvio import floats, text, write_csv
 from .errors import NonFiniteFlow, NonMonotoneTimestamps, NoSource, SchemaMismatch, UnknownId
-from .graph import Adjacency, CentralityVector
+from .graph import Adjacency, CentralityVector, breadth_first
 from .inp import WaterNetwork
 
 _CHARS_PER_BLOCK = 1 << 20  # bytes of CSV read, split and parsed at a time, which bounds the memory of the fields
@@ -273,57 +272,51 @@ def flow_proxy(net: WaterNetwork, adj: Adjacency, weight_by_length: bool = False
     file order).  With ``weight_by_length`` paths minimize summed pipe
     length instead; pumps and valves count as zero-length connections.
     """
-    n = net.node_count
     sources = np.flatnonzero(np.isin(net.nodes.kind, ("reservoir", "tank"))).tolist()
     if not sources:
         raise NoSource("no reservoir or tank in network")
 
+    parent = np.full(net.node_count, -1, dtype=np.int64)
     if weight_by_length:
-        parent, order, seen = _shortest_by_length(net, adj, sources)
+        order = _shortest_by_length(net, adj, sources, parent)
     else:
-        parent = np.full(n, -1, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        order: list[int] = []
-        queue = deque(sources)
-        seen[sources] = True
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj.neighbors[u]:  # ascending index = file order
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    queue.append(int(v))
+        order = breadth_first(adj, sources, parent)  # ties go to the lower index = file order
 
+    seen = parent >= 0
     values = np.where(seen, net.demands(), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # placement_weights rejects the non-finite sums
         for v in reversed(order):
             p = parent[v]
-            if p >= 0:
+            if p != v:
                 values[p] += values[v]
 
     unreachable = net.nodes.id[~seen & (net.nodes.base_demand > 0)].tolist()
     return ProxyFlow(values=values, unreachable=unreachable)
 
 
-def _shortest_by_length(net: WaterNetwork, adj: Adjacency, sources: list[int]):
-    """Multi-source Dijkstra over pipe lengths; settle order breaks ties by
-    node file order, parallel links take the shortest length."""
+def _shortest_by_length(net: WaterNetwork, adj: Adjacency, sources: list[int], parent: np.ndarray) -> list[int]:
+    """Multi-source Dijkstra over pipe lengths; returns the settle order and
+    fills ``parent`` as ``breadth_first`` does.  Ties in distance settle the
+    lower node index (file order) first; parallel links take the shortest
+    length."""
     import heapq
 
-    length_of: dict[tuple[int, int], float] = {}
-    lengths = np.nan_to_num(net.links.length, nan=0.0)  # pumps and valves count as zero length
-    for i, j, length in zip(net.links.from_index.tolist(), net.links.to_index.tolist(), lengths.tolist()):
-        pair = (i, j) if i < j else (j, i)
-        length_of[pair] = min(length, length_of.get(pair, math.inf))
-
     n = net.node_count
+    i, j = net.links.from_index, net.links.to_index
+    # The length of every CSR entry (u, v): the shortest link joining u and v.
+    rows = np.repeat(np.arange(n), adj.degrees())
+    entry = np.searchsorted(rows * n + adj.indices, np.concatenate([i * n + j, j * n + i]))
+    length = np.full(len(adj.indices), math.inf)
+    lengths = np.nan_to_num(net.links.length, nan=0.0)  # pumps and valves count as zero length
+    np.minimum.at(length, entry, np.concatenate([lengths, lengths]))
+
+    indptr, indices = adj.indptr, adj.indices
     dist = np.full(n, math.inf)
-    parent = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     order: list[int] = []
     heap = [(0.0, s) for s in sources]
     dist[sources] = 0.0
+    parent[sources] = sources
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
@@ -331,14 +324,14 @@ def _shortest_by_length(net: WaterNetwork, adj: Adjacency, sources: list[int]):
             continue
         seen[u] = True
         order.append(u)
-        for v in adj.neighbors[u]:
-            pair = (u, int(v)) if u < v else (int(v), u)
-            candidate = d + length_of[pair]
+        for e in range(indptr[u], indptr[u + 1]):
+            v = indices[e]
+            candidate = d + length[e]
             if candidate < dist[v]:
                 dist[v] = candidate
                 parent[v] = u
                 heapq.heappush(heap, (candidate, int(v)))
-    return parent, order, seen
+    return order
 
 
 def placement_weights(cv: CentralityVector, flows: np.ndarray, alpha: float = 0.5) -> FlowWeight:

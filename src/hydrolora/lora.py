@@ -134,8 +134,9 @@ class PropagationModel:
 
     def __post_init__(self):
         values = (self.ref_loss_db, self.ref_distance_m, self.exponent, self.shadowing_sigma_db)
-        if not all(map(math.isfinite, values)) or self.ref_distance_m <= 0 or self.shadowing_sigma_db < 0:
-            raise ValueError("propagation parameters must be finite, ref_distance_m positive "
+        if (not all(map(math.isfinite, values)) or self.ref_distance_m <= 0 or self.exponent <= 0
+                or self.shadowing_sigma_db < 0):
+            raise ValueError("propagation parameters must be finite, ref_distance_m and exponent positive "
                              "and shadowing_sigma_db nonnegative")
 
 

@@ -300,7 +300,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         outdir = Path(cfg.output_dir) / cfg.name
         outdir.mkdir(parents=True, exist_ok=True)
         summary = prepared.net.summary()
-        summary["graph"] = graph_stats(prepared.adj).as_dict()
+        summary["graph"] = graph_stats(prepared.adj)
         summary["flow_warnings"] = prepared.flow_warnings
         (outdir / "network_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

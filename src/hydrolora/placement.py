@@ -39,33 +39,25 @@ class GatewaySet:
 
 
 def _grid_dims(k: int, width: float, height: float) -> tuple[int, int]:
-    """Rows and columns for K cells: least overshoot, then closest aspect.
-
-    Candidates are (r, ceil(K / r)); the winner minimizes r*c - K, breaking
-    ties by |r/c - height/width| and then by smaller r.
-    """
+    """Rows and columns for K cells: the factor pair rows * cols = K whose
+    rows / cols is closest to height / width, the smaller rows on a tie, so
+    a prime K is one row or one column."""
     if width == 0:
         return k, 1
     if height == 0:
         return 1, k
     target = height / width
-    best = None
-    for rows in range(1, k + 1):
-        cols = -(-k // rows)
-        overshoot = rows * cols - k
-        aspect_gap = abs(rows / cols - target)
-        key = (overshoot, aspect_gap, rows)
-        if best is None or key < best[0]:
-            best = (key, (rows, cols))
-    return best[1]
+    rows = min((r for d in range(1, math.isqrt(k) + 1) if k % d == 0 for r in (d, k // d)),
+               key=lambda r: (abs(r / (k // r) - target), r))
+    return rows, k // rows
 
 
 def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> GatewaySet:
     """Place K gateways at cell centers of a grid spanning the bounding box.
 
-    Cells are filled row-major from the bottom-left; when rows * cols
-    exceeds K, the last cells stay empty.  A bbox degenerate on one axis
-    collapses to a line of K cells; degenerate on both axes is an error.
+    Cells are filled row-major from the bottom-left.  A bbox degenerate on
+    one axis collapses to a line of K cells; degenerate on both axes is an
+    error.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
@@ -78,7 +70,7 @@ def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> Gate
 
     rows, cols = _grid_dims(k, width, height)
     positions = [(x_min + (j + 0.5) * width / cols, y_min + (i + 0.5) * height / rows)
-                 for i in range(rows) for j in range(cols)][:k]
+                 for i in range(rows) for j in range(cols)]
     return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions,
                       provenance={"rows": rows, "cols": cols, "bbox": list(bbox)})
 

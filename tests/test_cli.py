@@ -391,9 +391,11 @@ class TestSweepAndKpi:
         {"horizon_s": 10**400}, {"radio": {"bandwidth_hz": 0}}, {"radio": {"preamble_symbols": -100}},
         {"energy": {"supply_voltage_v": 0}}, {"energy": {"initial_battery_j": -1}},
         {"energy": {"tx_current_a": {"14.0": -0.1}}}, {"propagation": {"ref_distance_m": 0}},
-        {"propagation": {"shadowing_sigma_db": -1}}, {"traffic": {"period_s": float("inf")}},
+        {"propagation": {"shadowing_sigma_db": -1}}, {"propagation": {"exponent": 0}},
+        {"traffic": {"period_s": float("inf")}},
     ], ids=["horizon_beyond_float", "zero_bandwidth", "negative_preamble", "zero_voltage",
-            "negative_battery", "negative_current", "zero_ref_distance", "negative_sigma", "infinite_period"])
+            "negative_battery", "negative_current", "zero_ref_distance", "negative_sigma", "zero_exponent",
+            "infinite_period"])
     def test_number_out_of_range_is_config_error(self, capsys, config_file, tmp_path, override):
         config = json.loads(config_file.read_text())
         config_file.write_text(json.dumps({**config, **override}).replace("Infinity", "1e999"))

@@ -8,10 +8,27 @@ import pytest
 
 from hydrolora import degree_centrality_deploy, greedy_coverage_deploy, regular_grid_deploy
 from hydrolora.errors import AllZeroWeights, DegenerateBBox, InvalidK, KExceedsN
-from hydrolora.placement import export_gateways_csv, place
+from hydrolora.placement import _grid_dims, export_gateways_csv, place
 from hydrolora.rng import substream
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
+
+
+def walked_grid_dims(k, width, height):
+    """The O(K) grid search ``_grid_dims`` replaced: every rows count, ranked
+    by overshoot, then aspect gap, then rows."""
+    if width == 0:
+        return k, 1
+    if height == 0:
+        return 1, k
+    target = height / width
+    best = None
+    for rows in range(1, k + 1):
+        cols = -(-k // rows)
+        key = (rows * cols - k, abs(rows / cols - target), rows)
+        if best is None or key < best[0]:
+            best = (key, (rows, cols))
+    return best[1]
 
 
 def kmeans_objective(node_xy, weights, positions):
@@ -54,6 +71,16 @@ class TestRegularGrid:
         for k, dims in ((77, (7, 11)), (96, (8, 12)), (117, (9, 13)), (140, (10, 14)), (165, (11, 15))):
             gws = regular_grid_deploy(k, bbox)
             assert (gws.provenance["rows"], gws.provenance["cols"]) == dims
+
+    @pytest.mark.parametrize("width, height", [(1.0, 1.0), (3000.0, 2000.0), (2000.0, 3000.0), (1.0, 7.0),
+                                               (11_000.0, 7_000.0), (1e-300, 1e300), (1e300, 1e-300),
+                                               (5.0, 0.0), (0.0, 5.0)])
+    def test_factor_pairs_match_the_walk_over_every_row_count(self, width, height):
+        for k in range(1, 400):
+            assert _grid_dims(k, width, height) == walked_grid_dims(k, width, height), k
+
+    def test_prime_k_is_one_row_found_without_walking_k(self):
+        assert _grid_dims(10**9 + 7, 3000.0, 2000.0) == (1, 10**9 + 7)
 
     def test_degenerate_axis_collapses_to_line(self):
         gws = regular_grid_deploy(5, (0.0, 0.0, 10.0, 0.0))

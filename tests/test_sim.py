@@ -11,6 +11,7 @@ import pytest
 
 from hydrolora import (
     EnergyModel,
+    PropagationModel,
     RadioConfig,
     TrafficModel,
     airtime,
@@ -365,6 +366,15 @@ class TestBestGateway:
         outcome, best_gw = sim._outcomes(time_s, device, group, airtime, link_rssi, hearable, -np.inf)
         assert best_gw.tolist() == masked[device].tolist()
         assert outcome.tolist() == np.where(masked[device] >= 0, 0, 1).tolist()
+
+    @pytest.mark.parametrize("exponent", [0.0, -2.0])
+    def test_non_positive_exponent_is_rejected_before_a_nan_link(self, exponent):
+        """With exponent 0 a gateway whose distance overflows to inf got a NaN
+        path loss (0 * inf), and the NaN link won the argmax."""
+        net = build_network(tokenize_inp(synthetic_wds(30, 2, seed=3)))
+        with pytest.raises(ValueError, match="exponent positive"):
+            simulate(net, [(1e200, 0.0), (500.0, 500.0)], horizon_s=600.0,
+                     propagation=PropagationModel(exponent=exponent))
 
 
 class TestExport:
