@@ -52,6 +52,7 @@ from .sim import (
     EnergyReport,
     SimulationResult,
     TrafficModel,
+    TrafficStore,
     Transmissions,
     WirelessFeatures,
     export_wireless_csv,
@@ -82,6 +83,7 @@ __all__ = [
     "ScenarioResult",
     "SimulationResult",
     "TrafficModel",
+    "TrafficStore",
     "Transmissions",
     "WaterNetwork",
     "WirelessFeatures",

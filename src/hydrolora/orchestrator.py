@@ -3,6 +3,9 @@ evaluate KPIs, and emit comparison tables plus all per-run datasets.
 
 For every master seed the two strategies consume the same per-device traffic
 substreams, so a paired energy difference is attributable to placement alone.
+A sweep (and ``kpi_search``'s scan of K) holds one ``TrafficStore`` per seed
+across all its runs, so a device's uplinks are drawn, and their start times
+formatted, once per seed and SF the device gets.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .hydraulics import flow_proxy, ingest_hydraulic_csv, placement_weights, wei
 from .inp import read_inp
 from .lora import EnergyModel, PropagationModel, RadioConfig
 from .placement import STRATEGIES, GatewaySet, export_gateways_csv, place
-from .sim import SimulationResult, TrafficModel, export_wireless_csv, simulate
+from .sim import SimulationResult, TrafficModel, TrafficStore, export_wireless_csv, simulate
 
 
 @dataclass
@@ -263,7 +266,7 @@ def _aggregate(per_seed: list[RunSummary]) -> ComparisonRow:
 
 
 def _run_combo(prepared: _Prepared, cfg: ScenarioConfig, k: int, strategy: str,
-               outdir: Path | None) -> tuple[ComparisonRow, list[RunSummary]]:
+               stores: dict[int, TrafficStore], outdir: Path | None) -> tuple[ComparisonRow, list[RunSummary]]:
     try:
         gateways = prepared.place(cfg, strategy, k)
     except HydroLoraError as exc:
@@ -276,7 +279,7 @@ def _run_combo(prepared: _Prepared, cfg: ScenarioConfig, k: int, strategy: str,
             result = simulate(
                 prepared.net, gateways, cfg.radio, cfg.energy,
                 horizon_s=cfg.horizon_s, seed=seed,
-                propagation=cfg.propagation, traffic=cfg.traffic,
+                propagation=cfg.propagation, traffic=cfg.traffic, store=stores[seed],
             )
         except HydroLoraError as exc:
             raise ScenarioError(f"(K={k}, strategy={strategy}, seed={seed}) "
@@ -284,6 +287,7 @@ def _run_combo(prepared: _Prepared, cfg: ScenarioConfig, k: int, strategy: str,
         per_seed.append(_summarize(result, k, strategy, seed))
         if outdir is not None:
             export_wireless_csv(result, outdir / f"run_k{k}_{strategy}_seed{seed}")
+        del result  # not held while the next seed simulates
     return _aggregate(per_seed), per_seed
 
 
@@ -307,11 +311,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         centrality_csv(prepared.cv, outdir / "centrality.csv")
         weights_csv(prepared.cv, prepared.flows, prepared.fw, outdir / "weights.csv")
 
+    stores = {seed: TrafficStore() for seed in cfg.seeds}
     rows: list[ComparisonRow] = []
     runs: list[RunSummary] = []
     for k in cfg.gateway_counts:
         for strategy in cfg.strategies:
-            row, per_seed = _run_combo(prepared, cfg, k, strategy, outdir)
+            row, per_seed = _run_combo(prepared, cfg, k, strategy, stores, outdir)
             rows.append(row)
             runs.extend(per_seed)
 
@@ -382,9 +387,10 @@ def kpi_search(cfg: ScenarioConfig, predicate, strategy: str | None = None) -> K
     if chosen not in cfg.strategies:
         raise ConfigError(f"strategy {chosen!r} not in configured strategies {cfg.strategies}")
     prepared = _Prepared(cfg)
+    stores = {seed: TrafficStore() for seed in cfg.seeds}
     evaluated: list[ComparisonRow] = []
     for k in cfg.gateway_counts:
-        row, _ = _run_combo(prepared, cfg, k, chosen, outdir=None)
+        row, _ = _run_combo(prepared, cfg, k, chosen, stores, outdir=None)
         evaluated.append(row)
         if predicate(row):
             return KpiResult(satisfiable=True, k=k, row=row, evaluated=evaluated)

@@ -33,6 +33,14 @@ SF), which keeps the closed-form energy identity exact.
 Determinism: traffic and shadowing draws come from purpose-keyed substreams
 of the master seed, one per device, so results are bit-identical for equal
 inputs and independent of gateway layout.
+
+Traffic store: a device's uplinks depend only on the seed, the traffic model,
+the channel count, the horizon and the device's duty-cycle floor and battery
+cap (both functions of its SF), never on the gateways.  A ``TrafficStore``
+keeps what ``_traffic`` drew for each device under exactly those inputs, and
+the ``repr`` of each start time once an export has written it, so the runs
+of a sweep that share a seed draw and format each (device, SF) once.
+``simulate`` without a store uses a private one: there is one traffic path.
 """
 
 from __future__ import annotations
@@ -90,18 +98,22 @@ def _per_device(field: str) -> property:
 class Transmissions:
     """Every uplink attempt of a run as columns, in start order (time, then
     device index), storing only what differs per uplink: ``channel_index``
-    indexes ``channels_hz``, ``outcome_code`` OUTCOMES, and ``best_gw_index``
-    the strongest gateway that kept a copy (-1: none did).  ``device_id``,
-    ``sf``, ``airtime_s`` and ``best_rssi_dbm`` are read from ``devices``."""
+    indexes ``channels_hz``, ``outcome_code`` OUTCOMES, ``best_gw_index``
+    the strongest gateway that kept a copy (-1: none did), and ``store_row``
+    the uplink's row in ``store``, which holds its formatted start time.
+    ``device_id``, ``sf``, ``airtime_s`` and ``best_rssi_dbm`` are read from
+    ``devices``."""
 
     time_s: np.ndarray
     device_index: np.ndarray
     channel_index: np.ndarray
     outcome_code: np.ndarray
     best_gw_index: np.ndarray
+    store_row: np.ndarray
     devices: np.recarray  # the run's device table, SimulationResult.devices
     channels_hz: np.ndarray  # int64
     gateway_ids: tuple[str, ...]
+    store: TrafficStore
 
     device_id, sf, airtime_s, best_rssi_dbm = map(_per_device, ("id", "sf", "airtime_s", "best_rssi_dbm"))
 
@@ -229,6 +241,106 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     return tuple(columns)
 
 
+class TrafficStore:
+    """The uplinks ``_traffic`` drew for each device, kept for later runs.
+
+    A store serves one seed, traffic model, channel count, horizon and device
+    count; using it with others raises ValueError.  Within it a device's
+    uplinks are keyed by its duty-cycle floor and battery cap, the only
+    per-device inputs of ``_traffic``, so a device whose SF changes is drawn
+    again.  The uplinks of one draw are appended device by device: start
+    times (float64), channel picks (the smallest integer type) and, filled
+    the first time an export writes them, the ``repr`` of each start time as
+    bytes.  An uplink costs 9 bytes, plus the width of the longest formatted
+    start time once exported (18 bytes in a 1 h or a 24 h sweep).
+    """
+
+    def __init__(self):
+        self._inputs = None  # (seed, traffic, channel count, horizon, device count) served
+        self._variants: dict[tuple[float, int], int] = {}  # (floor, cap) -> row of the tables below
+        self._first = self._count = None  # [variant, device]: first uplink (-1: not drawn), uplinks drawn
+        self._time_s = np.zeros(0)
+        self._pick = None
+        self._text = np.zeros(0, dtype="S1")  # b"" until formatted
+
+    def __len__(self) -> int:
+        return len(self._time_s)
+
+    def uplinks(self, seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndarray,
+                max_sends: np.ndarray, horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Store rows and device indices of the uplinks of
+        ``_traffic(seed, traffic, n_channels, min_gap, max_sends, horizon_s)``,
+        device by device; only devices not stored under their (floor, cap) are drawn."""
+        n = len(min_gap)
+        inputs = (seed, traffic, n_channels, horizon_s, n)
+        if self._inputs is None:
+            self._inputs = inputs
+            self._first = np.zeros((0, n), dtype=np.int64)
+            self._count = np.zeros((0, n), dtype=np.int64)
+            self._pick = np.zeros(0, dtype=np.min_scalar_type(n_channels - 1))
+        elif inputs != self._inputs:
+            raise ValueError(f"this traffic store holds (seed, traffic, channels, horizon_s, devices) = "
+                             f"{self._inputs}, not {inputs}")
+        pairs, variant = np.unique(np.rec.fromarrays([min_gap, max_sends]), return_inverse=True)
+        variant = np.array([self._variants.setdefault(pair, len(self._variants))
+                            for pair in pairs.tolist()])[variant]
+        if len(self._variants) > len(self._first):  # new rows: nothing drawn yet
+            grow = len(self._variants) - len(self._first)
+            self._first = np.vstack([self._first, np.full((grow, n), -1, dtype=np.int64)])
+            self._count = np.vstack([self._count, np.zeros((grow, n), dtype=np.int64)])
+        cell = (variant, np.arange(n))
+        first, count = self._first[cell], self._count[cell]
+
+        miss = first < 0
+        time_s, device, pick = _traffic(seed, traffic, n_channels, min_gap, np.where(miss, max_sends, 0),
+                                        horizon_s)
+        size, drawn = len(self), np.bincount(device, minlength=n)
+        by_device = np.argsort(device, kind="stable")
+        del device
+        # Grown in place, which realloc can do without a second copy.  No view
+        # of a column leaves the store (its reads are copies), so the
+        # reference count check, which a profiler's reference trips, is off.
+        self._time_s.resize(size + len(by_device), refcheck=False)
+        self._time_s[size:] = time_s[by_device]
+        del time_s
+        self._pick.resize(size + len(by_device), refcheck=False)
+        self._pick[size:] = pick[by_device]
+        del pick, by_device
+        first[miss] = size + (np.cumsum(drawn) - drawn)[miss]
+        count[miss] = drawn[miss]
+        self._first[cell], self._count[cell] = first, count
+
+        # Rows first[d] .. first[d] + count[d] - 1 of each device d in turn.
+        row = np.repeat(first - (np.cumsum(count) - count), count)
+        row += np.arange(len(row))
+        return row, np.repeat(np.arange(n), count)
+
+    def time_s(self, rows: np.ndarray) -> np.ndarray:
+        """Start times of the uplinks at ``rows``, a copy."""
+        return self._time_s.take(rows)
+
+    def pick(self, rows: np.ndarray) -> np.ndarray:
+        """Channel picks of the uplinks at ``rows``, a copy."""
+        return self._pick.take(rows)
+
+    def start_text(self, rows: np.ndarray):
+        """The csvio column of the ``repr`` of the start times at ``rows``."""
+        return self._start_fields, rows
+
+    def _start_fields(self, rows: np.ndarray) -> list[str]:
+        """The ``repr`` of the start times at ``rows``, formatting those no
+        export has written yet."""
+        if len(self._text) < len(self):
+            self._text.resize(len(self), refcheck=False)
+        new = rows[self._text[rows] == b""]
+        if new.size:
+            text = np.array(list(map(repr, self._time_s[new].tolist())), dtype=np.bytes_)
+            if text.itemsize > self._text.itemsize:
+                self._text = self._text.astype(text.dtype)
+            self._text[new] = text
+        return list(map(bytes.decode, self._text[rows].tolist()))
+
+
 def _unique_below(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of integers in [0, size), found
     by marking and ranking them in one size-long array instead of by sorting."""
@@ -314,6 +426,7 @@ def simulate(
     *,
     propagation: PropagationModel = PropagationModel(),
     traffic: TrafficModel = TrafficModel(),
+    store: TrafficStore | None = None,
 ) -> SimulationResult:
     """Run one uplink scenario: ADR, traffic, overlap and capture, energy.
 
@@ -323,6 +436,9 @@ def simulate(
     duty-cycle limit postpones a draw that would start too early.  ADR picks
     each SF inside ``cfg``'s SF range, so ``sf_min == sf_max`` pins every
     device to one SF.  Battery levels are sampled hourly from time 0.
+    ``store`` keeps each device's uplinks for later runs of the same seed,
+    traffic model, channels and horizon (see ``TrafficStore``); the result
+    is the same with or without one.
     """
     positions = getattr(gateways, "positions", gateways)
     gw_xy = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -358,13 +474,17 @@ def simulate(
     min_gap = airtime_s / cfg.duty_cycle_limit
     sensitivity = np.array([cfg.sensitivity_dbm[sf] for sf in cfg.sfs()])[sf_slot]
 
-    time_s, device, pick = _traffic(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
+    store = TrafficStore() if store is None else store
+    row, device = store.uplinks(seed, traffic, len(cfg.channels_hz), min_gap, max_sends, horizon_s)
+    time_s = store.time_s(row)
+    row = row.astype(np.min_scalar_type(len(store)))
     # Start order, one column at a time, so that at most one column is held twice.
     order = np.lexsort((device, time_s))
     time_s = time_s[order]
     device = device[order]
-    pick = pick[order]
+    row = row[order]
     del order
+    pick = store.pick(row)
     # (channel, SF) group numbers in the smallest integer type that holds them.
     group = pick.astype(np.min_scalar_type(len(cfg.channels_hz) * len(airtimes) - 1))
     group *= len(airtimes)
@@ -383,8 +503,8 @@ def simulate(
               "energy_j,battery_j")
     records = Transmissions(
         time_s=time_s, device_index=device, channel_index=pick, outcome_code=outcome, best_gw_index=best_gw,
-        devices=devices, channels_hz=np.asarray(cfg.channels_hz, dtype=np.int64),
-        gateway_ids=tuple(f"gw{j:03d}" for j in range(k)),
+        store_row=row, devices=devices, channels_hz=np.asarray(cfg.channels_hz, dtype=np.int64),
+        gateway_ids=tuple(f"gw{j:03d}" for j in range(k)), store=store,
     )
 
     sample_times = np.arange(0.0, horizon_s + BATTERY_SAMPLE_S / 2, BATTERY_SAMPLE_S)
@@ -430,7 +550,8 @@ def export_wireless_csv(result: SimulationResult, outdir) -> dict[str, Path]:
         order = np.lexsort((id_rank[recs.device_index], recs.time_s))
     device = recs.device_index[order]
     write_csv(paths["transmissions"], "time_s,device_id,channel_hz,sf,airtime_s,best_gw,best_rssi_dbm,outcome", [
-        floats(recs.time_s[order]), (id_fields, device), text(recs.channels_hz.tolist(), recs.channel_index[order]),
+        recs.store.start_text(recs.store_row[order]), (id_fields, device),
+        text(recs.channels_hz.tolist(), recs.channel_index[order]),
         text(devices.sf.tolist(), device), text(devices.airtime_s.tolist(), device),
         text([*recs.gateway_ids, ""], recs.best_gw_index[order]),
         text(devices.best_rssi_dbm.tolist(), device), text(OUTCOMES, recs.outcome_code[order]),

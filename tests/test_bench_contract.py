@@ -4,8 +4,12 @@
 ``place`` and ``simulate``, with a span-timing wrapper.  A wrapper only sees
 the calls the orchestrator makes through that module global, so every such
 name must stay a callable global that the orchestrator's code reads.  Its
-``simulate`` wrapper also reads the result: per-device rows, SFs, totals,
-energy and the link budget, checked against its own ``lora`` probes.
+``simulate`` wrapper unpacks ``(net, gateways, radio, energy, *, seed,
+propagation)``, passes every other keyword through (the sweep's traffic
+store among them), and reads the result: per-device rows, SFs, totals,
+energy and the link budget, checked against its own ``lora`` probes.  It
+labels each simulation with the K and strategy of the latest ``place``
+call.
 
 ``perfbench/workloads.py`` writes the benchmark's inputs: its hydraulic
 series reads the network's node and link ids and base demands.
@@ -18,7 +22,7 @@ import types
 from pathlib import Path
 
 import hydrolora.orchestrator as orchestrator
-from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig, read_inp
+from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig, read_inp, synthetic_wds
 from tests.conftest import CHAIN_INP, make_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,6 +71,31 @@ def test_replay_checks_pass_on_a_simulation(monkeypatch):
                                    propagation=PropagationModel(shadowing_sigma_db=6.0))
     assert result.features.sent > 0 and len(set(result.features.sf_per_device.tolist())) > 1
     assert [sim["problems"] for sim in sims] == [[]]
+
+
+def test_replay_traces_every_simulation_of_a_sweep(monkeypatch, tmp_path):
+    """The replay unpacks ``simulate(net, gateways, radio, energy, *, seed=,
+    propagation=, **rest)``; the sweep's traffic store must pass through it."""
+    replay = load_replay()
+    for name in [*replay.SPANS, "place", "simulate"]:  # restored after the test
+        monkeypatch.setattr(orchestrator, name, getattr(orchestrator, name))
+    simulate, stores = orchestrator.simulate, []
+
+    def recording_simulate(*args, store, **kwargs):
+        stores.append(store)
+        return simulate(*args, store=store, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "simulate", recording_simulate)
+    sims = replay.instrument(replay.Tracer())
+    inp = tmp_path / "net.inp"
+    inp.write_text(synthetic_wds(30, 2, seed=5))
+    result = orchestrator.run_scenario(orchestrator.ScenarioConfig(
+        inp_path=str(inp), gateway_counts=(2, 3), strategies=("regular_grid", "degree_centrality"), seeds=(4,),
+        horizon_s=1800.0, write_artifacts=False))
+    assert sims == [{"k": run.k, "strategy": run.strategy, "seed": 4, "problems": []} for run in result.runs]
+    assert [(sim["k"], sim["strategy"]) for sim in sims] == [
+        (2, "regular_grid"), (2, "degree_centrality"), (3, "regular_grid"), (3, "degree_centrality")]
+    assert len(stores) == 4 and all(store is stores[0] for store in stores) and len(stores[0]) > 0
 
 
 def test_workload_generator_reads_the_network_tables(tmp_path):

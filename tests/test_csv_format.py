@@ -190,3 +190,8 @@ def test_text_writes_python_numbers_as_repr():
     table, index = text(values, np.array([1, 0, 2, 3, 4, 5, 6, 7, 0]))
     assert table[index].tolist() == ["0.0", "-0.0", "7", "-3", "inf", "-inf", "5e-324", "0.1", "-0.0"]
     assert text([math.nan])[0].tolist() == [repr(math.nan)]
+    # Exact ints and floats are written as repr directly; anything else, a bool
+    # or a numpy scalar included, still goes through csv.writer and its quoting.
+    mixed = [True, "a,b", 'J"q', np.float64(0.1), 7, -0.0]
+    assert ",".join(text(mixed)[0].tolist()) + "\n" == render(mixed, [])
+    assert text(mixed)[0].tolist() == ["True", '"a,b"', '"J""q"', "0.1", "7", "-0.0"]

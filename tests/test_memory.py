@@ -22,7 +22,14 @@ peak above what was resident going in: its result and its transients.
 - One 1 h simulation of the same network at K = 96 on a regular grid, plus
   the export of its CSVs: 52 895 uplinks.  The rise here was 17.5 MB while
   the simulator held several copies of its per-uplink and N x K arrays and
-  the export formatted 65 536 rows at a time; it is 11.6 MB.
+  the export formatted 65 536 rows at a time; it was 11.6 MB, and with the
+  run's traffic kept in a private store, its start times formatted into it
+  as bytes, it is 12.2 MB.
+- Two such runs, the grid and then weighted k-means, each exported, through
+  one traffic store, as a sweep runs them: 15.1 MB with both placements.
+  The second run draws and formats nothing (every device is SF7 under both
+  layouts), and the store holds 52 895 uplinks at 27 bytes each (1.4 MB),
+  where a private store per run rises 13.9 MB.
 
 ``read_inp`` of the same network (395 kB of INP text) is measured by what
 it leaves resident, in a process that has parsed nothing before: the
@@ -48,6 +55,7 @@ INGEST_MAX_MB = 35.0
 TRAFFIC_MAX_MB = 16.0
 READ_INP_MAX_MB = 8.0
 SIMULATION_MAX_MB = 13.0
+SHARED_STORE_MAX_MB = 17.0
 
 STATUS = """\
 def status(field):
@@ -58,8 +66,9 @@ def status(field):
 # The stage's high-water mark above what was resident after the fixture was parsed.
 STAGE = STATUS + """\
 import numpy as np
-from hydrolora import (EnergyModel, RadioConfig, airtime, build_network, export_wireless_csv, ingest_hydraulic_csv,
-                       regular_grid_deploy, simulate, synthetic_wds, tokenize_inp)
+from hydrolora import (EnergyModel, RadioConfig, TrafficStore, airtime, build_network, degree_centrality_deploy,
+                       export_wireless_csv, ingest_hydraulic_csv, regular_grid_deploy, simulate, synthetic_wds,
+                       tokenize_inp)
 from hydrolora.placement import _radius_neighbours
 from hydrolora.sim import TrafficModel, _traffic
 
@@ -142,3 +151,12 @@ def test_simulation_and_export_stay_within_their_memory_bound(tmp_path):
     simulation = start("result = simulate(net, regular_grid_deploy(96, net.bbox), horizon_s=3600.0, seed=10)\n"
                        f"export_wireless_csv(result, {str(tmp_path)!r})")
     assert rise_mb(simulation) <= SIMULATION_MAX_MB
+
+
+def test_runs_sharing_a_traffic_store_stay_within_their_memory_bound(tmp_path):
+    runs = start(f"""\
+layouts = [regular_grid_deploy(96, net.bbox), degree_centrality_deploy(96, xy, np.ones(net.node_count))]
+store = TrafficStore()
+for layout in layouts:
+    export_wireless_csv(simulate(net, layout, horizon_s=3600.0, seed=10, store=store), {str(tmp_path)!r})""")
+    assert rise_mb(runs) <= SHARED_STORE_MAX_MB

@@ -20,8 +20,10 @@ from hydrolora import (
     run_scenario,
     synthetic_wds,
 )
+import hydrolora.orchestrator as orchestrator
 from hydrolora.errors import ConfigError, EmptySweep, HydroLoraError, PredicateError, ScenarioError
 from hydrolora.orchestrator import ComparisonRow, ComparisonTable, export_comparison, parse_predicate
+from tests.test_acceptance import FIXTURE
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,40 @@ class TestRunScenario:
             run_scenario(cfg)  # K exceeds the 40-node fixture
         assert "K=41" in str(exc.value)
         assert "KExceedsN" in str(exc.value)
+
+
+def without_store(monkeypatch):
+    """Make every run of a sweep draw and format its traffic afresh, as a run
+    simulated on its own does."""
+    simulate = orchestrator.simulate
+    monkeypatch.setattr(orchestrator, "simulate", lambda *args, store, **kwargs: simulate(*args, **kwargs))
+
+
+class TestSharedTraffic:
+    """A sweep holds one traffic store per seed across its runs; that may not
+    change a file, a run summary or their order."""
+
+    def test_sweep_equals_fresh_runs_in_kstrategy_seed_order(self, tmp_path_factory, monkeypatch):
+        root = tmp_path_factory.mktemp("acceptance")
+        (root / "net.inp").write_text(synthetic_wds(**FIXTURE))
+        fields = dict(inp_path=str(root / "net.inp"), gateway_counts=(4, 9),
+                      strategies=("regular_grid", "degree_centrality", "greedy_coverage"), seeds=(1, 2),
+                      horizon_s=21_600.0)
+        shared = run_scenario(ScenarioConfig(output_dir=str(root / "shared"), **fields))
+        without_store(monkeypatch)
+        fresh = run_scenario(ScenarioConfig(output_dir=str(root / "fresh"), **fields))
+        assert tree_digest(shared.outdir) == tree_digest(fresh.outdir)
+        assert len(tree_digest(shared.outdir)) == 5 + 6 + 12 * 3  # network, gateways, run files
+        assert shared.runs == fresh.runs and shared.table == fresh.table
+        assert [(run.k, run.strategy, run.seed) for run in shared.runs] == [
+            (k, strategy, seed) for k in (4, 9) for strategy in fields["strategies"] for seed in (1, 2)]
+
+    def test_kpi_search_equals_fresh_runs(self, small_inp, tmp_path, monkeypatch):
+        cfg = small_config(small_inp, tmp_path, gateway_counts=(1, 2, 3), seeds=(1, 2), write_artifacts=False)
+        shared = kpi_search(cfg, "energy_j<0")  # scans every K
+        without_store(monkeypatch)
+        assert kpi_search(cfg, "energy_j<0") == shared
+        assert len(shared.evaluated) == 3
 
 
 class TestComparisonExport:

@@ -110,8 +110,10 @@ class TestRecords:
         result = simulate(net, [tuple(net.coordinates().min(axis=0))], horizon_s=1800.0, seed=4)  # SF7 to SF12
         recs, devices = result.records, result.devices
         assert [field.name for field in dataclasses.fields(recs)] == [
-            "time_s", "device_index", "channel_index", "outcome_code", "best_gw_index",
-            "devices", "channels_hz", "gateway_ids"]
+            "time_s", "device_index", "channel_index", "outcome_code", "best_gw_index", "store_row",
+            "devices", "channels_hz", "gateway_ids", "store"]
+        assert recs.store.time_s(recs.store_row).tolist() == recs.time_s.tolist()
+        assert recs.store.pick(recs.store_row).tolist() == recs.channel_index.tolist()
         assert recs.devices is devices and len(set(devices.sf.tolist())) > 1 and len(recs) > 100
         for name, field in [("device_id", "id"), ("sf", "sf"), ("airtime_s", "airtime_s"),
                             ("best_rssi_dbm", "best_rssi_dbm")]:
