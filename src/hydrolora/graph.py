@@ -66,8 +66,9 @@ def build_adjacency(net: WaterNetwork) -> Adjacency:
     if n < 2:
         raise TooFewNodes(f"need at least 2 nodes, got {n}")
     i, j = net.links.from_index, net.links.to_index
-    # Both directions of every connected pair, once each, sorted by (from, to).
-    keys = np.unique(np.concatenate([i * n + j, j * n + i]))
+    # Both directions of every connected pair, once each, sorted by (from, to); np.unique imports numpy.ma.
+    keys = np.sort(np.concatenate([i * n + j, j * n + i]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return Adjacency(node_ids=net.nodes.id, indptr=np.searchsorted(keys // n, np.arange(n + 1)), indices=keys % n)
 
 

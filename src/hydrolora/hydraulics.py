@@ -9,16 +9,21 @@ CSV schemas (header row required, UTF-8, '.' decimal separator):
   node file:  time_s,node_id,pressure,demand
   link file:  time_s,link_id,flow
 Both files must share one strictly increasing timestamp grid; every value
-must be a finite number.
+must be a finite number.  Fields are split as ``csv.reader`` splits them and
+numbers read as ``float`` reads them.  Plain text is parsed by numpy's text
+reader a block at a time; a file with a '"', a lone "\\r", a NUL, a byte
+0x1C-0x1F, bytes that are not UTF-8, a line longer than csv's field size
+limit, a number spelled with "_" or non-ASCII digits, or any fault is read
+row by row with ``csv.reader`` instead, to the same result or error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -27,7 +32,11 @@ from .errors import NonFiniteFlow, NonMonotoneTimestamps, NoSource, SchemaMismat
 from .graph import Adjacency, CentralityVector, breadth_first
 from .inp import WaterNetwork
 
-_CHARS_PER_BLOCK = 1 << 20  # bytes of CSV read, split and parsed at a time, which bounds the memory of the fields
+# Bytes of CSV read and parsed at a time.  io.StringIO holds a block at four
+# bytes a character.  Blocks this small keep each block's transients smaller
+# than the columns, which grow by realloc: so malloc maps the columns apart
+# from the heap the transients reuse, and ingest leaves little of it resident.
+_CHARS_PER_BLOCK = 1 << 16
 
 
 @dataclass
@@ -62,6 +71,14 @@ class FlowWeight:
     weight: np.ndarray
 
 
+class _Ranks(dict):
+    """Each key's rank in order of first lookup, given on that lookup."""
+
+    def __missing__(self, key):
+        self[key] = rank = len(self)
+        return rank
+
+
 def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     """Read a long-format CSV column by column.
 
@@ -70,8 +87,10 @@ def _read_long_csv(path, required: list[str]) -> tuple[list[str], np.ndarray, li
     split as ``csv.reader`` splits them and numbers parsed by ``float``.
 
     ``_read_plain`` reads plain text, "\\n" or "\\r\\n" line ends, a block of
-    bytes at a time; every other file, and every file with a fault, is read
-    by ``_read_rows``, which raises the SchemaMismatch of the first fault.
+    bytes at a time with numpy's text reader.  Every other file, every file
+    with a fault and every file with a number that ``float`` reads and numpy
+    does not ("1_0", non-ASCII digits) is read by ``_read_rows``, which gives
+    the same result, or raises the SchemaMismatch of the first fault.
     """
     read = _read_plain(path, required)
     return read if read is not None else _read_rows(path, required)
@@ -83,54 +102,56 @@ def _read_plain(path, required: list[str]):
     and at the first fault, which ``_read_rows`` then words.
 
     A block is ``_CHARS_PER_BLOCK`` bytes and the rest of their last line, so
-    it never splits a UTF-8 sequence, and its "\\r\\n" become "\\n".  None at
-    a '"', a lone "\\r", a NUL, bytes that are not UTF-8, a line longer than
-    csv's field size limit, a data row whose width differs from the
-    header's, a missing column, a bad number or a non-finite value.
+    it never splits a UTF-8 sequence, and its "\\r\\n" become "\\n".
+    ``np.loadtxt`` splits it and parses its numbers with the routine that
+    ``float`` uses; its ids are numbered as they are first seen, and its
+    columns appended to one growing array each.  None at a '"', a lone
+    "\\r", a NUL, a byte 0x1C-0x1F (numpy strips these around a number,
+    ``float`` does not), bytes that are not UTF-8, a line longer than csv's
+    field size limit, a row without one of the columns read, a number numpy
+    does not parse or a non-finite value.
     """
     limit = csv.field_size_limit()
 
-    def lines_of(block: bytes) -> list[str] | None:
+    def text_of(block: bytes) -> str | None:
         try:
-            text = block.decode("utf-8").replace("\r\n", "\n")
+            text = block.decode("utf-8")
         except UnicodeDecodeError:
             return None
-        lines = text.split("\n")  # str.splitlines would split on more than csv.reader does
-        if '"' in text or "\r" in text or "\x00" in text or max(map(len, lines)) > limit:
+        if "\r" in text:  # a scan for "\r\n" alone costs about a tenth of the block's parse
+            text = text.replace("\r\n", "\n")
+        if any(c in text for c in '"\r\x00\x1c\x1d\x1e\x1f') or (
+                len(text) > limit and max(map(len, text.split("\n"))) > limit):
             return None
-        return lines
+        return text
 
     with open(path, "rb") as handle:
-        lines = lines_of(handle.readline())
-        header = lines[0].split(",") if lines is not None else []
+        head = text_of(handle.readline())
+        header = head.removesuffix("\n").split(",") if head is not None else []
         if any(col not in header for col in required):
             return None
-        width = len(header)
-        id_pos = header.index(required[1])
-        value_pos = [header.index(col) for col in required if col != required[1]]
-        rank: dict[str, int] = {}
-        codes, columns = [np.zeros(0, dtype=np.int64)], [[np.zeros(0)] for _ in value_pos]
+        names = [col for col in required if col != required[1]]
+        usecols = [header.index(required[1])] + [header.index(col) for col in names]
+        row = np.dtype([("id", object)] + [(col, np.float64) for col in names])
+        rank = _Ranks()
+        codes, columns = array("q"), [array("d") for _ in names]
         while block := handle.read(_CHARS_PER_BLOCK) + handle.readline():
-            lines = lines_of(block)
-            if lines is None:
+            text = text_of(block)
+            if text is None:
                 return None
-            body = list(filter(None, lines))
-            if set(map(str.count, body, repeat(","))) - {width - 1}:
-                return None
-            flat = ",".join(body).split(",") if body else []
-            ids = flat[id_pos::width]
+            if not text.strip("\n"):
+                continue  # blank lines only, which np.loadtxt warns about
             try:
-                values = [np.fromiter(map(float, flat[p::width]), np.float64, count=len(ids)) for p in value_pos]
+                table = np.loadtxt(io.StringIO(text), row, delimiter=",", comments=None, quotechar=None,
+                                   usecols=usecols, ndmin=1)
             except ValueError:
                 return None
-            if not all(np.isfinite(column).all() for column in values):
+            if not all(np.isfinite(table[col]).all() for col in names):
                 return None
-            for entity in dict.fromkeys(ids):
-                rank.setdefault(entity, len(rank))
-            codes.append(np.fromiter(map(rank.__getitem__, ids), np.int64, count=len(ids)))
-            for column, value in zip(columns, values):
-                column.append(value)
-    return list(rank), np.concatenate(codes), [np.concatenate(column) for column in columns]
+            codes.frombytes(np.fromiter(map(rank.__getitem__, table["id"]), np.int64, count=len(table)).tobytes())
+            for column, col in zip(columns, names):
+                column.frombytes(table[col].tobytes())
+    return list(rank), np.frombuffer(codes, np.int64), [np.frombuffer(column) for column in columns]
 
 
 def _read_rows(path, required: list[str]) -> tuple[list[str], np.ndarray, list[np.ndarray]]:

@@ -411,7 +411,7 @@ def _outcomes(time_s, device, group, group_airtime_s, link_rssi, hearable, captu
         best_gw[contested[undecided[won]]] = gw_of[undecided[won]]
         rank += 1
         undecided = undecided[~won & (tries[undecided] > rank)]
-        keep = np.isin(slot, undecided)
+        keep = np.isin(slot, undecided, kind="table")  # its sorting path imports numpy.ma (15 ms)
         slot, interferer = slot[keep], interferer[keep]
     return outcome, best_gw
 

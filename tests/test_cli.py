@@ -5,9 +5,12 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +517,32 @@ def test_inp_subcommands_never_trace_back(fuzz_inp, argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_weights_and_sweep_leave_numpy_ma_unimported(tmp_path):
+    """In numpy 2.4 ``np.unique`` and ``np.isin`` import ``numpy.ma``, about
+    15 ms of every process, which neither command needs.  The sweep's traffic
+    is dense enough that capture tries a third gateway for a few uplinks,
+    where ``np.isin`` took its sorting path."""
+    (tmp_path / "net.inp").write_text(synthetic_wds(600, 2, seed=3))
+    (tmp_path / "chain.inp").write_text(CHAIN_INP)
+    (tmp_path / "nodes.csv").write_text("time_s,node_id,pressure,demand\n0,J1,50,1\n")
+    (tmp_path / "links.csv").write_text("time_s,link_id,flow\n0,P1,10\n0,P2,4\n")
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "inp_path": "net.inp", "name": "ma", "output_dir": "out", "gateway_counts": [30],
+        "strategies": ["regular_grid"], "seeds": [1], "horizon_s": 1800.0, "traffic": {"period_s": 100.0},
+    }))
+    script = """import sys
+from hydrolora.cli import main
+assert main(["weights", "net.inp", "--out", "weights.csv"]) == 0
+assert main(["weights", "chain.inp", "--hydraulic", "nodes.csv", "links.csv", "--out", "flow.csv"]) == 0
+assert main(["sweep", "--config", "scenario.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

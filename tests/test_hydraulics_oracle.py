@@ -6,11 +6,13 @@ columnar one replaced.  On every input the two must agree: either every
 the same exception type with the same message.
 
 The shipped ingest has two readers.  Plain text with "\n" or "\r\n" line
-ends is read a block of bytes at a time; every other file, and every file
-with a fault, is read row by row with ``csv.reader``, which words the
-error.  So the fuzzer and the explicit cases also run with blocks of 0, 1
-and 7 bytes, which end at the first line end after them: a line or a few
-per block.
+ends is read a block of bytes at a time by ``np.loadtxt``; every other
+file, every file with a fault and every file with a number that numpy does
+not parse is read row by row with ``csv.reader``, which words the error.
+So the fuzzer and the explicit cases also run with blocks of 0, 1 and 7
+bytes, which end at the first line end after them: a line or a few per
+block.  Their numbers and ids hold whitespace that ``float`` and numpy both
+strip, or that only numpy strips, and their ids a "#" or nothing.
 """
 
 import csv
@@ -31,7 +33,7 @@ from hydrolora.errors import HydroLoraError
 from tests import reference_hydraulics
 from tests.test_bench_contract import load_perfbench
 
-# A reservoir and three junctions; two ids need quoting in CSV.
+# A reservoir and four junctions; two ids need quoting in CSV, two hold a "#".
 ORACLE_INP = """\
 [RESERVOIRS]
  R1 150
@@ -39,24 +41,34 @@ ORACLE_INP = """\
  J1 100 1
  a,"b 95 2
  Jé 90 1
+ J#2 85 1
 [PIPES]
  P1 R1 J1 100 0.3 130
  p,"2 J1 a,"b 100 0.3 130
  P3 a,"b Jé 50 0.3 130
+ P#4 Jé J#2 50 0.3 130
 [COORDINATES]
  R1 0 0
  J1 100 0
  a,"b 200 0
  Jé 300 0
+ J#2 400 0
 """
 NODE_HEADER = ["time_s", "node_id", "pressure", "demand"]
 LINK_HEADER = ["time_s", "link_id", "flow"]
-NODE_IDS = ["R1", "J1", 'a,"b', "Jé"]
-LINK_IDS = ["P1", 'p,"2', "P3"]
+NODE_IDS = ["R1", "J1", 'a,"b', "Jé", "J#2"]
+LINK_IDS = ["P1", 'p,"2', "P3", "P#4"]
+# Whitespace as ``str.isspace`` has it: numpy strips all of it around a
+# number; ``float`` strips all but 0x1C-0x1F, which the block reader refuses.
+SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "\xa0", "\u2003", "\x85", "\u2028"]
+# Ids no network here has, each an UnknownId that names it as it was read.
+UNKNOWN_IDS = ["Z9", " J1", "J1 ", "", "J#1", *(f"J{c}1" for c in SPACES)]
 # Spellings of the grid times: "-0" equals "0" and "3600.0" equals "3600".
 TIMES = [("0", "-0"), ("1e3",), ("3600", "3600.0"), ("7200",)]
-GOOD = ["1", "-2.5", "0", "-0", "1e300", " 1.5", "1_0", "2.5 ", "1e-320"]
-BAD = ["nan", "inf", "-inf", "1e999", "x", "", "1__0"]
+GOOD = ["1", "-2.5", "0", "-0", "1e300", " 1.5", "1_0", "2.5 ", "1e-320", "\u0661",
+        *(f"{c}1.5" for c in SPACES[4:]), *(f"2.5{c}" for c in SPACES[4:])]
+BAD = ["nan", "inf", "-inf", "1e999", "x", "", "1__0", "NaN", "Infinity", "-Infinity",
+       *(f"{c}1.5" for c in SPACES[:4]), *(f"2.5{c}" for c in SPACES[:4])]
 
 SMALL_BLOCKS = pytest.mark.parametrize("chars", [0, 1, 7])  # a line or a few per block
 
@@ -115,7 +127,7 @@ def long_csv(rnd, header, ids, grid):
     def rarely(odds):
         return rnd.random() < odds
 
-    pool = ids + ["Z9"] if rarely(0.1) else ids
+    pool = ids + [rnd.choice(UNKNOWN_IDS)] if rarely(0.1) else ids
     entities = rnd.sample(pool, rnd.randint(0, len(ids)))
     pairs = [(t, e) for t in grid for e in entities]
     if rnd.random() < 0.5:
@@ -196,6 +208,21 @@ EXPLICIT_CASES = pytest.mark.parametrize("nodes,links", [
     (NODES + "0,J1,1,1\n0,R1,nan,0\n3600,J1,inf,1\n3600,R1,1,0\n7200,J1,nan,1\n", LINKS),
     (NODES + "0,R1, 1.5,1_0\n", LINKS + "0,P1,1_0 \n"),
     (NODES + "0,R1,1__0,0\n", LINKS),
+    (NODES + "0,R1,NaN,0\n", LINKS + "0,P1,Infinity\n"),
+    (NODES + "0,R1,1,-Infinity\n", LINKS),
+    (NODES + "0,J#2,1,0\n3600,J#2,2,0\n", LINKS + "0,P#4,1\n3600,P#4,2\n"),  # "#" is no comment
+    (NODES + "0,R1,1,0#1\n", LINKS),
+    (NODES + "0, R1,1,0\n", LINKS),  # ids keep their spaces
+    (NODES + "0,R1 ,1,0\n", LINKS),
+    (NODES + "0,,1,0\n", LINKS),  # an empty id
+    (NODES.replace("\n", ",note\n") + "0,R1,1,0,calm\n3600,R1,2,0,x\n", LINKS),  # a column that is not read
+    ("note," + NODES + "a b,0,R1,1,0\n", LINKS),
+    (NODES + "0,R1,1,0\n \n", LINKS),  # lines of whitespace or commas only
+    (NODES + "0,R1,1,0\n\t\n", LINKS),
+    (NODES + "0,R1,1,0\n\x0c\n", LINKS),
+    (NODES + "0,R1,1,0\n,,,\n", LINKS),
+    (GOOD_NODES, LINKS + ",,,,\n"),
+    (NODES + "0,R1,1,0", LINKS + "0,P1,1"),  # no final line end
     (NODES, LINKS),  # header-only files
     (NODES, GOOD_LINKS),
     (GOOD_NODES, LINKS),
@@ -227,6 +254,13 @@ def test_explicit_case_in_small_blocks_matches_oracle(nodes, links, chars):
         assert_same(nodes.encode("utf-8"), links.encode("utf-8"))
 
 
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("row", ["0,R1,{}1.5,0", "0,R1,1.5{},0", "0,R1,1.5,0{}", "0,R{}1,1.5,0", "0,{}R1,1.5,0",
+                                 "0,R1{},1.5,0", "{}0,R1,1.5,0", "{}"])
+def test_whitespace_around_numbers_and_in_ids_matches_oracle(space, row):
+    assert_same((NODES + row.format(space) + "\n").encode("utf-8"), GOOD_LINKS.encode("utf-8"))
+
+
 def node_rows(id_major=False):
     """Ten hourly rows for each of three ids, time-major or id-major."""
     pairs = product(range(0, 36000, 3600), ("R1", "J1", "Jé"))
@@ -237,10 +271,15 @@ ROWS = node_rows()
 
 
 @pytest.mark.parametrize("rows,plain", [
-    (ROWS[:-1] + [ROWS[-1] + ",9"], False),  # a wide row in the last block only: csv.reader reads the file
+    (ROWS[:-1] + [ROWS[-1] + ",9"], True),  # a wide row in the last block: its extra field is not read
+    (ROWS[:-1] + ['32400,"Jé",1,1'], False),  # a quoted id in the last block only: csv.reader reads the file
     (ROWS[:-1] + [ROWS[-1].rpartition(",")[0]], None),  # a short row there
     (ROWS[:-1] + ["32400,Jé,x,1"], None),  # a bad number in a later block
     (ROWS[:-1] + ["32400,Jé,inf,1"], None),  # a non-finite value in a later block
+    (ROWS[:-1] + ["32400,Jé,\x1c1,1"], None),  # a number numpy strips and float does not
+    (ROWS[:-1] + ["32400,Jé,1_0,1"], False),  # a number float reads and numpy does not
+    (ROWS[:-1] + ["32400,Jé,\u0661,1"], False),
+    (ROWS[:-1] + ["32400,Jé,\u20031\xa0,\x851\u2028"], True),  # whitespace both strip
     (ROWS[:4] + ["0,R1,nan,1"] + ROWS[5:-1] + ["32400,Jé,-inf,1"], None),  # and one in the first
     (node_rows(id_major=True), True),  # J1 and Jé first seen in later blocks
     (["", *ROWS, "", ""], True),  # a blank line at each block edge
@@ -250,7 +289,8 @@ ROWS = node_rows()
 def test_block_edges_match_oracle(rows, plain, chars):
     """Faults, a width change, new ids, blank lines and CRLF line ends in
     blocks after the first.  An accepted file is split by the blocks
-    (``plain``) or, where a block has another width, by ``csv.reader``."""
+    (``plain``) or, where a block holds a quote or a number that numpy does
+    not parse, by ``csv.reader``."""
     nodes = (NODES + "\n".join(rows) + "\n").encode("utf-8")
     with blocks_of(chars):
         assert_same(nodes, LINKS.encode())
@@ -276,5 +316,9 @@ def test_benchmark_series_matches_oracle(tmp_path):
     (tmp_path / "network.inp").write_text(inp)
     series = load_perfbench("workloads").hydraulic_series(tmp_path / "network.inp", seed=2)
     export_hydraulic_csv(series, tmp_path / "nodes.csv", tmp_path / "links.csv")
-    got = assert_same((tmp_path / "nodes.csv").read_bytes(), (tmp_path / "links.csv").read_bytes(), inp)
+    nodes, links = (tmp_path / "nodes.csv").read_bytes(), (tmp_path / "links.csv").read_bytes()
+    got = assert_same(nodes, links, inp)
     assert list(got.flow) == list(series.flow) and got.node_flow.any()
+    with mock.patch.object(hydraulics.csv, "reader", wraps=csv.reader) as reader:
+        outcome(ingest_hydraulic_csv, nodes, links, inp)
+    assert not reader.called  # the block reader reads benchmark files

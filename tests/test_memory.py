@@ -12,9 +12,12 @@ peak above what was resident going in: its result and its transients.
   one result array, 17 MB.
 - Ingest of a 25-step hydraulic series of the same network, 9 MB of CSV,
   with "\n" and with "\r\n" line ends.  Split into fields all at once the
-  rise was 51 MB for either; a block of bytes at a time it is 19 MB for
-  both.  When CRLF text still went through a whole-file ``csv.reader``
-  pass, its rise was 60 MB.
+  rise was 51 MB for either; 1 MiB of bytes at a time, split by ``str.split``
+  and parsed by ``float``, 19 to 22 MB for both; 64 KiB at a time, parsed
+  by ``np.loadtxt`` into growing ``array`` columns, it is 13.5 MB for both
+  (15.4 MB with 256 KiB blocks whose columns were concatenated at the end).
+  When CRLF text still went through a whole-file ``csv.reader`` pass, its
+  rise was 60 MB.
 - Traffic of the same network's 4419 devices over 1 h (poisson, 300 s mean,
   SF7 duty-cycle floor): 52 895 uplinks, a 1.2 MiB result.  With the round
   arrays of every active device (N x 256 each) live at once the rise here
@@ -51,7 +54,7 @@ from hydrolora import HydraulicSeries, build_network, export_hydraulic_csv, synt
 ROOT = Path(__file__).resolve().parent.parent
 PAPER_FIXTURE = dict(n_nodes=4419, n_reservoirs=3, seed=0)
 NEIGHBOURS_MAX_MB = 20.0
-INGEST_MAX_MB = 35.0
+INGEST_MAX_MB = 17.0
 TRAFFIC_MAX_MB = 16.0
 READ_INP_MAX_MB = 8.0
 SIMULATION_MAX_MB = 13.0
