@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +28,12 @@ _PAIRS_PER_BLOCK = 1 << 15  # point pairs handled at a time, which bounds the me
 
 @dataclass
 class GatewaySet:
-    """K gateway positions plus provenance of how they were chosen."""
+    """K gateway positions as a C-contiguous (K, 2) float64 array, plus how they were chosen."""
 
     strategy: str
     k: int
-    positions: list[tuple[float, float]]
+    positions: np.ndarray
     provenance: dict = field(default_factory=dict)
-
-    def coordinates(self) -> np.ndarray:
-        return np.array(self.positions, dtype=np.float64)
 
 
 def _grid_dims(k: int, width: float, height: float) -> tuple[int, int]:
@@ -53,43 +51,46 @@ def _grid_dims(k: int, width: float, height: float) -> tuple[int, int]:
 
 
 def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> GatewaySet:
-    """Place K gateways at cell centers of a grid spanning the bounding box.
-
-    Cells are filled row-major from the bottom-left.  A bbox degenerate on
-    one axis collapses to a line of K cells; degenerate on both axes is an
-    error.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
+    """Place K gateways at the cell centers of a rows x cols grid over the bounding
+    box (x_min, y_min, x_max, y_max), row-major from the bottom-left: row
+    i * cols + j of ``positions`` is cell (i, j).  A bbox degenerate on one
+    axis collapses to a line of K cells; degenerate on both is an error."""
+    k = _check_k(k)
+    if np.shape(bbox) != (4,):
+        raise ValueError(f"bbox must be (x_min, y_min, x_max, y_max), got {bbox!r}")
     x_min, y_min, x_max, y_max = bbox
     width, height = x_max - x_min, y_max - y_min
-    if not all(map(math.isfinite, (x_min, y_min, width, height))):
-        raise ValueError(f"bounding box and its extent must be finite, got {tuple(bbox)!r}")
+    if not (math.isfinite(x_min) and math.isfinite(y_min) and 0 <= width < math.inf and 0 <= height < math.inf):
+        raise ValueError(f"bounding box and its extent must be finite and nonnegative, got {tuple(bbox)!r}")
     if width == 0 and height == 0:
         raise DegenerateBBox("bounding box has zero extent on both axes")
 
     rows, cols = _grid_dims(k, width, height)
-    positions = [(x_min + (j + 0.5) * width / cols, y_min + (i + 0.5) * height / rows)
-                 for i in range(rows) for j in range(cols)]
-    return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions,
+    positions = np.empty((rows, cols, 2))
+    positions[:, :, 0] = x_min + (np.arange(cols) + 0.5) * width / cols
+    positions[:, :, 1] = (y_min + (np.arange(rows) + 0.5) * height / rows)[:, None]
+    return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions.reshape(k, 2),
                       provenance={"rows": rows, "cols": cols, "bbox": list(bbox)})
 
 
-def _check_k(k, n: int) -> None:
-    """Raise unless ``k`` is a positive integer no larger than the node count."""
-    if not isinstance(k, int) or k < 1:
+def _check_k(k, n: int | None = None) -> int:
+    """``k`` as an int; raise unless it is a positive integer, not a bool, and at most the node count ``n``."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
-    if k > n:
+    if n is not None and k > n:
         raise KExceedsN(f"K={k} exceeds node count {n}")
+    return int(k)
 
 
-def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
-    """``node_xy`` and ``weights`` as float arrays, after both node strategies'
-    checks: K, finite coordinates, extent and squared extent, finite nonnegative
-    weights with a positive sum."""
+def _node_inputs(k, node_xy, weights) -> tuple[int, np.ndarray, np.ndarray]:
+    """K as an int and ``node_xy`` and ``weights`` as float arrays, after both
+    node strategies' checks: K, shapes (N, 2) and (N,), finite coordinates,
+    extent and squared extent, finite nonnegative weights with a positive sum."""
     node_xy = np.asarray(node_xy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    _check_k(k, len(node_xy))
+    if node_xy.ndim != 2 or node_xy.shape[1] != 2 or weights.shape != node_xy.shape[:1]:
+        raise ValueError(f"node_xy must be (N, 2) and weights (N,), got shapes {node_xy.shape} and {weights.shape}")
+    k = _check_k(k, len(node_xy))
     with np.errstate(over="ignore"):
         width, height = (node_xy.max(axis=0) - node_xy.min(axis=0)).tolist()
     if not (math.isfinite(width) and math.isfinite(height)):
@@ -100,7 +101,7 @@ def _node_inputs(k, node_xy, weights) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("weights must be finite and nonnegative")
     if weights.sum() <= 0:
         raise AllZeroWeights("placement weights sum to zero")
-    return node_xy, weights
+    return k, node_xy, weights
 
 
 def _farthest_point_seeds(xy: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
@@ -159,7 +160,7 @@ def degree_centrality_deploy(
     node with the largest weight * squared-distance to its current center.
     Nothing here is random.
     """
-    node_xy, weights = _node_inputs(k, node_xy, weights)
+    k, node_xy, weights = _node_inputs(k, node_xy, weights)
     n = len(node_xy)
 
     diag = math.hypot(node_xy[:, 0].max() - node_xy[:, 0].min(),
@@ -210,8 +211,7 @@ def degree_centrality_deploy(
     if snap_to_nodes:
         centers = node_xy[_sq_dist(centers, node_xy).argmin(axis=1)].copy()
 
-    positions = [(float(x), float(y)) for x, y in centers]
-    return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=positions,
+    return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=centers,
                       provenance={"snap_to_nodes": snap_to_nodes, "objective": previous_objective})
 
 
@@ -299,7 +299,7 @@ def greedy_coverage_deploy(
     of the heap is recomputed.  The picks equal those of recomputing every
     gain in every round.
     """
-    node_xy, weights = _node_inputs(k, node_xy, weights)
+    k, node_xy, weights = _node_inputs(k, node_xy, weights)
     n = len(node_xy)
     if not 0 < radius_m < math.inf:
         raise ValueError(f"radius_m must be finite and positive, got {radius_m!r}")
@@ -336,8 +336,7 @@ def greedy_coverage_deploy(
         chosen.append(pick)
         uncovered[indices[starts[pick]:starts[pick + 1]]] = False
         heapq.heappush(heap, (neg_gain, pick))  # saturated rounds pick it again
-    positions = [(float(node_xy[i, 0]), float(node_xy[i, 1])) for i in chosen]
-    return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=positions,
+    return GatewaySet(strategy=GREEDY_COVERAGE, k=k, positions=node_xy[chosen],
                       provenance={"radius_m": radius_m})
 
 
@@ -358,8 +357,7 @@ def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
 def export_gateways_csv(gateways: GatewaySet, path=None) -> None:
     """Write ``gw_id,x,y,strategy,k,seed`` rows to ``path``, or to stdout when
     None.  Placement is not random, so ``seed`` is always 0."""
-    n = len(gateways.positions)
-    xy = np.asarray(gateways.positions, dtype=np.float64).reshape(n, 2)
+    xy, n = gateways.positions, len(gateways.positions)
     write_csv(path, "gw_id,x,y,strategy,k,seed", [
         text([f"gw{idx:03d}" for idx in range(n)]), floats(xy[:, 0]), floats(xy[:, 1]),
         *(text([value] * n) for value in (gateways.strategy, gateways.k, 0))])

@@ -1,6 +1,6 @@
 """Reference oracles: the dense greedy max-coverage placement, the radius
-neighbour lists built with one global sort, and the k-means placement with
-its N x K x 2 distance temporary.
+neighbour lists built with one global sort, the k-means placement with its
+N x K x 2 distance temporary, and the grid built one Python tuple per cell.
 
 ``greedy_coverage_deploy`` is as it stood before the lazy greedy over
 radius neighbour lists in ``hydrolora.placement`` replaced it, less the
@@ -20,6 +20,11 @@ int32 columns.
 computed distances as ``dx * dx + dy * dy`` on (N, K) arrays and counted
 cluster sizes with one ``bincount``; the shipped one must match it bit for
 bit.
+
+``regular_grid_deploy`` is kept verbatim from before the shipped one filled
+a (rows, cols, 2) array: a list of ``(x, y)`` tuples, one per cell, each
+coordinate computed in Python floats.  The shipped positions must hold the
+same bytes.  Every oracle here returns its positions as that list of tuples.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import math
 
 import numpy as np
 
-from hydrolora.errors import AllZeroWeights, InvalidK, KExceedsN
-from hydrolora.placement import DEGREE_CENTRALITY, GREEDY_COVERAGE, GatewaySet, _farthest_point_seeds
+from hydrolora.errors import AllZeroWeights, DegenerateBBox, InvalidK, KExceedsN
+from hydrolora.placement import (DEGREE_CENTRALITY, GREEDY_COVERAGE, REGULAR_GRID, GatewaySet, _farthest_point_seeds,
+                                 _grid_dims)
 
 
 def greedy_coverage_deploy(
@@ -175,3 +181,26 @@ def degree_centrality_deploy(
     positions = [(float(x), float(y)) for x, y in centers]
     return GatewaySet(strategy=DEGREE_CENTRALITY, k=k, positions=positions,
                       provenance={"snap_to_nodes": snap_to_nodes, "objective": previous_objective})
+
+
+def regular_grid_deploy(k: int, bbox: tuple[float, float, float, float]) -> GatewaySet:
+    """Place K gateways at cell centers of a grid spanning the bounding box.
+
+    Cells are filled row-major from the bottom-left.  A bbox degenerate on
+    one axis collapses to a line of K cells; degenerate on both axes is an
+    error.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise InvalidK(f"gateway count must be a positive integer, got {k!r}")
+    x_min, y_min, x_max, y_max = bbox
+    width, height = x_max - x_min, y_max - y_min
+    if not all(map(math.isfinite, (x_min, y_min, width, height))):
+        raise ValueError(f"bounding box and its extent must be finite, got {tuple(bbox)!r}")
+    if width == 0 and height == 0:
+        raise DegenerateBBox("bounding box has zero extent on both axes")
+
+    rows, cols = _grid_dims(k, width, height)
+    positions = [(x_min + (j + 0.5) * width / cols, y_min + (i + 0.5) * height / rows)
+                 for i in range(rows) for j in range(cols)]
+    return GatewaySet(strategy=REGULAR_GRID, k=k, positions=positions,
+                      provenance={"rows": rows, "cols": cols, "bbox": list(bbox)})

@@ -9,7 +9,8 @@ propagation)``, passes every other keyword through (the sweep's traffic
 store among them), and reads the result: per-device rows, SFs, totals,
 energy and the link budget, checked against its own ``lora`` probes.  It
 labels each simulation with the K and strategy of the latest ``place``
-call.
+call, and reads the gateways as ``np.asarray(gateways.positions,
+dtype=np.float64)``, which every strategy's (K, 2) array already is.
 
 ``perfbench/workloads.py`` writes the benchmark's inputs: its hydraulic
 series reads the network's node and link ids and base demands.
@@ -21,8 +22,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import hydrolora.orchestrator as orchestrator
-from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig, read_inp, synthetic_wds
+from hydrolora import EnergyModel, GatewaySet, PropagationModel, RadioConfig, place, read_inp, synthetic_wds
+from hydrolora.placement import STRATEGIES
 from tests.conftest import CHAIN_INP, make_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,11 +71,22 @@ def test_replay_checks_pass_on_a_simulation(monkeypatch):
     sims = replay.instrument(replay.Tracer())
     net = make_network(12, [(i, i + 1) for i in range(1, 12)],
                        coords={i: (i * 400.0, (i % 4) * 700.0) for i in range(1, 13)})
-    gateways = GatewaySet(positions=[(1000.0, 500.0), (3500.0, 1500.0)], strategy="test", k=2, provenance={})
+    gateways = GatewaySet(positions=np.array([(1000.0, 500.0), (3500.0, 1500.0)]), strategy="test", k=2,
+                          provenance={})
     result = orchestrator.simulate(net, gateways, RadioConfig(), EnergyModel(), seed=3, horizon_s=3600.0,
                                    propagation=PropagationModel(shadowing_sigma_db=6.0))
     assert result.features.sent > 0 and len(set(result.features.sf_per_device.tolist())) > 1
     assert [sim["problems"] for sim in sims] == [[]]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_place_returns_the_array_the_replay_reads(strategy):
+    net = make_network(12, [(i, i + 1) for i in range(1, 12)],
+                       coords={i: (i * 400.0, (i % 4) * 700.0) for i in range(1, 13)})
+    positions = place(strategy, 3, bbox=net.bbox, node_xy=net.coordinates(), weights=np.ones(12)).positions
+    assert type(positions) is np.ndarray and positions.shape == (3, 2) and positions.dtype == np.float64
+    assert positions.flags.c_contiguous
+    assert np.atleast_2d(np.asarray(positions, dtype=np.float64)) is positions
 
 
 def test_replay_traces_every_simulation_of_a_sweep(monkeypatch, tmp_path):

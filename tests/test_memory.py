@@ -34,6 +34,11 @@ peak above what was resident going in: its result and its transients.
   layouts), and the store holds 52 895 uplinks at 27 bytes each (1.4 MB),
   where a private store per run rises 13.9 MB.
 
+- A regular grid of 4 000 037 gateways (a prime K: one row of cells) over
+  a 3000 m x 2000 m box, as a library caller may ask for it: 64 MB of
+  positions.  Built as one ``(x, y)`` tuple per gateway the rise was 516 MB;
+  filled into one (K, 2) array it is about 92 MB.
+
 ``read_inp`` of the same network (395 kB of INP text) is measured by what
 it leaves resident, in a process that has parsed nothing before: the
 network keeps about 0.9 MB of objects, but the arenas they pin stay too.
@@ -59,6 +64,7 @@ TRAFFIC_MAX_MB = 16.0
 READ_INP_MAX_MB = 8.0
 SIMULATION_MAX_MB = 13.0
 SHARED_STORE_MAX_MB = 17.0
+GRID_MAX_MB = 130.0
 
 STATUS = """\
 def status(field):
@@ -163,3 +169,8 @@ store = TrafficStore()
 for layout in layouts:
     export_wireless_csv(simulate(net, layout, horizon_s=3600.0, seed=10, store=store), {str(tmp_path)!r})""")
     assert rise_mb(runs) <= SHARED_STORE_MAX_MB
+
+
+def test_grid_of_millions_of_gateways_stays_within_its_memory_bound():
+    grid = start("result = regular_grid_deploy(4_000_037, (0.0, 0.0, 3000.0, 2000.0))")
+    assert rise_mb(grid) <= GRID_MAX_MB

@@ -8,7 +8,7 @@ import pytest
 
 from hydrolora import degree_centrality_deploy, greedy_coverage_deploy, regular_grid_deploy
 from hydrolora.errors import AllZeroWeights, DegenerateBBox, InvalidK, KExceedsN
-from hydrolora.placement import _grid_dims, export_gateways_csv, place
+from hydrolora.placement import STRATEGIES, _grid_dims, export_gateways_csv, place
 from hydrolora.rng import substream
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
@@ -31,6 +31,15 @@ def walked_grid_dims(k, width, height):
     return best[1]
 
 
+def assert_positions(positions, want):
+    """``positions`` is a C-contiguous (K, 2) float64 array holding the bytes
+    of ``want``, a sequence of (x, y) pairs."""
+    want = np.array(want, dtype=np.float64).reshape(-1, 2)
+    assert type(positions) is np.ndarray and positions.dtype == np.float64 and positions.flags.c_contiguous
+    assert positions.shape == want.shape
+    assert positions.tobytes() == want.tobytes()
+
+
 def kmeans_objective(node_xy, weights, positions):
     positions = np.asarray(positions)
     sq = ((node_xy[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
@@ -49,12 +58,12 @@ def three_cluster_fixture():
 class TestRegularGrid:
     def test_k1_unit_square(self):
         gws = regular_grid_deploy(1, UNIT)
-        assert gws.positions == [(0.5, 0.5)]
+        assert_positions(gws.positions, [(0.5, 0.5)])
 
     def test_k4_unit_square(self):
         gws = regular_grid_deploy(4, UNIT)
-        assert sorted(gws.positions) == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
-        assert gws.positions[0] == (0.25, 0.25)  # row-major from bottom-left
+        # row-major from the bottom-left
+        assert_positions(gws.positions, [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)])
 
     def test_k77_on_wide_bbox(self):
         bbox = (0.0, 0.0, 11_000.0, 7_000.0)
@@ -84,10 +93,7 @@ class TestRegularGrid:
 
     def test_degenerate_axis_collapses_to_line(self):
         gws = regular_grid_deploy(5, (0.0, 0.0, 10.0, 0.0))
-        assert len(gws.positions) == 5
-        assert all(y == 0.0 for _, y in gws.positions)
-        xs = [x for x, _ in gws.positions]
-        assert xs == [1.0, 3.0, 5.0, 7.0, 9.0]
+        assert_positions(gws.positions, [(1.0, 0.0), (3.0, 0.0), (5.0, 0.0), (7.0, 0.0), (9.0, 0.0)])
 
     def test_fully_degenerate_bbox_rejected(self):
         with pytest.raises(DegenerateBBox):
@@ -96,6 +102,13 @@ class TestRegularGrid:
     def test_invalid_k_rejected(self):
         with pytest.raises(InvalidK):
             regular_grid_deploy(0, UNIT)
+
+    def test_row_major_cells_match_the_closed_form(self):
+        bbox = (-3.0, 7.0, 27.0, 12.0)
+        gws = regular_grid_deploy(6, bbox)
+        rows, cols = gws.provenance["rows"], gws.provenance["cols"]
+        assert_positions(gws.positions, [(-3.0 + (j + 0.5) * 30.0 / cols, 7.0 + (i + 0.5) * 5.0 / rows)
+                                         for i in range(rows) for j in range(cols)])
 
     def test_translation_equivariance(self):
         base = regular_grid_deploy(6, (0.0, 0.0, 30.0, 20.0))
@@ -114,17 +127,17 @@ class TestDegreeCentralityDeploy:
     def test_k_equals_n_one_gateway_per_node(self):
         xy, weights, _ = three_cluster_fixture()
         gws = degree_centrality_deploy(len(xy), xy, weights)
-        got = sorted(map(tuple, np.round(gws.coordinates(), 9).tolist()))
+        got = sorted(map(tuple, np.round(gws.positions, 9).tolist()))
         want = sorted(map(tuple, np.round(xy, 9).tolist()))
         assert got == want
 
     def test_centers_land_in_clusters_and_beat_random(self):
         xy, weights, centers = three_cluster_fixture()
         gws = degree_centrality_deploy(3, xy, weights)
-        for pos in gws.coordinates():
+        for pos in gws.positions:
             assert min(np.linalg.norm(pos - c) for c in centers) < 5.0
 
-        objective = kmeans_objective(xy, weights, gws.coordinates())
+        objective = kmeans_objective(xy, weights, gws.positions)
         assert objective == pytest.approx(gws.provenance["objective"])
         rng = substream(99, "random-restarts")
         lo, hi = xy.min(axis=0), xy.max(axis=0)
@@ -136,14 +149,14 @@ class TestDegreeCentralityDeploy:
         xy, weights, _ = three_cluster_fixture()
         a = degree_centrality_deploy(5, xy, weights)
         b = degree_centrality_deploy(5, xy, weights)
-        assert len(a.positions) == 5
-        assert a.positions == b.positions
+        assert a.positions.shape == (5, 2)
+        assert_positions(a.positions, b.positions)
 
     def test_translation_equivariance(self):
         xy, weights, _ = three_cluster_fixture()
         base = degree_centrality_deploy(3, xy, weights)
         moved = degree_centrality_deploy(3, xy + np.array([11.0, -4.0]), weights)
-        assert np.allclose(moved.coordinates(), base.coordinates() + np.array([11.0, -4.0]), atol=1e-6)
+        assert np.allclose(moved.positions, base.positions + np.array([11.0, -4.0]), atol=1e-6)
 
     def test_symmetric_layout_uniform_weights(self):
         # 4 tight corner clusters of a square, uniform weights, K=4:
@@ -153,7 +166,7 @@ class TestDegreeCentralityDeploy:
         xy = np.concatenate([c + offsets for c in corners])
         weights = np.ones(len(xy))
         gws = degree_centrality_deploy(4, xy, weights)
-        got = sorted(map(tuple, np.round(gws.coordinates(), 6).tolist()))
+        got = sorted(map(tuple, np.round(gws.positions, 6).tolist()))
         want = sorted(map(tuple, corners.tolist()))
         assert got == want
 
@@ -256,6 +269,44 @@ class TestDispatchAndExport:
         assert grid.strategy == "regular_grid" and km.strategy == "degree_centrality"
         with pytest.raises(ValueError):
             place("voronoi", 2, bbox=UNIT)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_numpy_integer_k_places_as_an_int(self, strategy):
+        """A NumPy integer K gives the GatewaySet of the same int K; a bool K is rejected."""
+        xy, weights, _ = three_cluster_fixture()
+        deploy = {"regular_grid": lambda k: regular_grid_deploy(k, (0.0, 0.0, 3000.0, 2000.0)),
+                  "degree_centrality": lambda k: degree_centrality_deploy(k, xy, weights),
+                  "greedy_coverage": lambda k: greedy_coverage_deploy(k, xy, weights, radius_m=10.0)}[strategy]
+        want = deploy(4)
+        for k in (np.int64(4), np.uint8(4)):
+            got = deploy(k)
+            assert type(got.k) is int and got.k == 4
+            assert (got.strategy, repr(got.provenance)) == (want.strategy, repr(want.provenance))
+            assert_positions(got.positions, want.positions)
+        for k in (True, False, np.True_, 4.0):
+            with pytest.raises(InvalidK, match="^gateway count must be a positive integer"):
+                deploy(k)
+
+    XY4 = np.array([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (6.0, 5.0)])
+
+    @pytest.mark.parametrize("strategy, inputs, message", [
+        ("greedy_coverage", dict(node_xy=XY4, weights=np.ones(5)), r"got shapes \(4, 2\) and \(5,\)$"),
+        ("greedy_coverage", dict(node_xy=XY4, weights=np.ones(3)), r"got shapes \(4, 2\) and \(3,\)$"),
+        ("degree_centrality", dict(node_xy=XY4, weights=np.ones((4, 1))), r"got shapes \(4, 2\) and \(4, 1\)$"),
+        ("greedy_coverage", dict(node_xy=np.ones((4, 3)), weights=np.ones(4)), r"got shapes \(4, 3\) and \(4,\)$"),
+        ("degree_centrality", dict(node_xy=np.ones(4), weights=np.ones(4)), r"got shapes \(4,\) and \(4,\)$"),
+        ("degree_centrality", dict(node_xy=XY4), r"got shapes \(4, 2\) and \(\)$"),
+        ("regular_grid", {}, r"^bbox must be \(x_min, y_min, x_max, y_max\), got None$"),
+        ("regular_grid", dict(bbox=(0.0, 0.0, 1.0)), r"got \(0.0, 0.0, 1.0\)$"),
+        ("regular_grid", dict(bbox=(10.0, 0.0, 0.0, 1.0)), r"nonnegative, got \(10.0, 0.0, 0.0, 1.0\)$"),
+        ("regular_grid", dict(bbox=(0.0, 1.0, 1.0, -1.0)), r"nonnegative, got \(0.0, 1.0, 1.0, -1.0\)$"),
+    ])
+    def test_malformed_inputs_rejected(self, strategy, inputs, message):
+        """Mismatched or misshapen node inputs and a missing, short or inverted
+        bbox raise ValueError naming them, not an IndexError, an unpacking
+        error or a mirrored grid."""
+        with pytest.raises(ValueError, match=message):
+            place(strategy, 2, **inputs)
 
     @pytest.mark.parametrize("strategy", ["regular_grid", "degree_centrality", "greedy_coverage"])
     @pytest.mark.parametrize("k", [13, 10**20])

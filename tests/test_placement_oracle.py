@@ -1,4 +1,4 @@
-"""Differential tests: the lazy greedy and k-means placements against their oracles.
+"""Differential tests: the lazy greedy, k-means and grid placements against their oracles.
 
 ``tests/reference_placement.py`` keeps the dense greedy that the lazy greedy
 over radius neighbour lists replaced.  Its gains are BLAS sums, so the two
@@ -16,6 +16,14 @@ bit on any weights, the 420-node acceptance network and the 4419-node
 benchmark network included.  The link budget takes its distances from the
 same squared-distance helper, so on both networks it must equal the budget
 computed from that (N, K, 2) temporary bit for bit.
+
+It keeps the grid built one Python tuple per cell.  The shipped grid fills
+an array with the same float operations in the same order, so its positions
+must hold the same bytes.
+
+Each oracle returns a list of ``(x, y)`` tuples; the shipped positions are
+compared with its array byte for byte, with their shape and dtype, the K and
+the provenance (by ``repr``, which round-trips floats).
 """
 
 import warnings
@@ -39,6 +47,7 @@ from hydrolora import (
     link_rssi_matrix,
     path_loss_db,
     placement_weights,
+    regular_grid_deploy,
     synthetic_wds,
     tokenize_inp,
 )
@@ -48,12 +57,20 @@ from hydrolora.placement import _radius_neighbours
 from hydrolora.rng import substream
 from tests import reference_placement
 from tests.test_acceptance import FIXTURE, SWEEP_KS
+from tests.test_placement import assert_positions
 
 DYADIC = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0)
 # sums that round, near ties (0.1 + 0.2 vs 0.3) and a 2**2000 range
 ROUNDING = (0.0, 0.1, 0.2, 0.3, 0.7, 5e-324, 1e-300, 1e300)
 # one block for these small cases, then a row or a few rows per block
 PAIRS_PER_BLOCK = (placement._PAIRS_PER_BLOCK, 1, 5)
+
+
+def assert_same_placement(got, want):
+    """The shipped GatewaySet ``got`` holds the bytes of the oracle's ``want``."""
+    assert (got.strategy, got.k, repr(got.provenance)) == (want.strategy, want.k, repr(want.provenance))
+    assert type(got.k) is int
+    assert_positions(got.positions, want.positions)
 
 
 def dense_within(xy, radius_m):
@@ -130,8 +147,7 @@ def test_lazy_greedy_matches_dense_greedy(p):
     for pairs_per_block in PAIRS_PER_BLOCK:
         with mock.patch.object(placement, "_PAIRS_PER_BLOCK", pairs_per_block):
             got = greedy_coverage_deploy(*args)
-        assert got.positions == want.positions
-        assert got.provenance == want.provenance and got.k == want.k
+        assert_same_placement(got, want)
 
 
 def assert_same_neighbours(xy, radius_m):
@@ -173,7 +189,7 @@ def test_lazy_greedy_matches_exact_oracle(p):
     xy, weights = xy_of(p), np.array(p["weights"])
     if weights.sum() > 0:
         want = [tuple(xy[i].tolist()) for i in exact_greedy(p["k"], xy, weights, p["radius_m"])]
-        assert greedy_coverage_deploy(p["k"], xy, weights, p["radius_m"]).positions == want
+        assert_positions(greedy_coverage_deploy(p["k"], xy, weights, p["radius_m"]).positions, want)
 
 
 @pytest.mark.parametrize("radius_m", [500.0, 1000.0, 2000.0])
@@ -188,19 +204,23 @@ def test_acceptance_fixture_centrality_weights_match_exact_oracle(radius_m):
     xy = net.coordinates()
     k = max(SWEEP_KS)
     want = [tuple(xy[i].tolist()) for i in exact_greedy(k, xy, weights, radius_m)]
-    assert greedy_coverage_deploy(k, xy, weights, radius_m=radius_m).positions == want
+    assert_positions(greedy_coverage_deploy(k, xy, weights, radius_m=radius_m).positions, want)
 
 
 def assert_same_kmeans(k, xy, weights, snap=False):
     """The shipped k-means and its N x K x 2 oracle: the same error, or
-    positions and objective with the same bits (``repr`` round-trips floats)."""
+    positions and objective with the same bits."""
     outcomes = []
     for deploy in (degree_centrality_deploy, reference_placement.degree_centrality_deploy):
         try:
-            outcomes.append(repr(deploy(k, xy, weights, snap_to_nodes=snap)))
+            outcomes.append(deploy(k, xy, weights, snap_to_nodes=snap))
         except AllZeroWeights as exc:
             outcomes.append(repr(exc))
-    assert outcomes[0] == outcomes[1]
+    got, want = outcomes
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_placement(got, want)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -271,3 +291,28 @@ def test_link_rssi_matches_dense_distance_expression(fixture, ks, scale):
         for model in (PropagationModel(), PropagationModel(ref_loss_db=120.0, exponent=3.5)):
             expected = cfg.tx_power_dbm - path_loss_db(dense, model)
             assert np.array_equal(link_rssi_matrix(xy, gateways, cfg, model), expected)
+
+
+# Grid bboxes: negative, large and tiny origins, extents from 1e-3 to 1e8,
+# each axis degenerate in turn, and random ones drawn below.
+GRID_BBOXES = [
+    (0.0, 0.0, 3000.0, 2000.0),
+    (-7.3e7, -1.1e-3, -7.3e7 + 1e8, 5.0),
+    (1e8, 1e8, 1e8 + 1e-3, 1e8 + 7.0),
+    (-123.456, -0.001, -0.001, 0.002),
+    (0.1, 0.2, 0.7, 0.2),  # degenerate in y: one row
+    (-5e5, 3.3, -5e5, 1e5 + 3.3),  # degenerate in x: one column
+]
+
+
+def random_grid_bboxes(count):
+    rng = substream(22, "grid-oracle")
+    origins = rng.uniform(-1e8, 1e8, (count, 2)) * 10.0 ** rng.integers(-11, 1, (count, 2))
+    extents = 10.0 ** rng.uniform(-3, 8, (count, 2))
+    return [(x, y, x + w, y + h) for (x, y), (w, h) in zip(origins.tolist(), extents.tolist())]
+
+
+@pytest.mark.parametrize("bbox", GRID_BBOXES + random_grid_bboxes(4))
+def test_grid_matches_the_tuple_built_grid_byte_for_byte(bbox):
+    for k in range(1, 400):
+        assert_same_placement(regular_grid_deploy(k, bbox), reference_placement.regular_grid_deploy(k, bbox))
