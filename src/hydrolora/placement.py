@@ -26,7 +26,7 @@ KMEANS_MAX_ITER = 100
 _PAIRS_PER_BLOCK = 1 << 15  # point pairs handled at a time, which bounds the memory of neighbour lists and distances
 
 
-@dataclass
+@dataclass(eq=False)  # equal only to itself: a generated == would compare the position arrays
 class GatewaySet:
     """K gateway positions as a C-contiguous (K, 2) float64 array, plus how they were chosen."""
 
@@ -342,10 +342,12 @@ def greedy_coverage_deploy(
 
 def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
           snap_to_nodes: bool = False, radius_m: float = 1000.0) -> GatewaySet:
-    """Dispatch to a placement strategy by name, after checking K against the node count."""
-    if node_xy is not None:
-        _check_k(k, len(node_xy))
+    """Dispatch to a placement strategy by name.  Given ``node_xy``, the grid
+    too places at most one gateway per node; the node strategies check K
+    after their inputs' shapes."""
     if strategy == REGULAR_GRID:
+        if node_xy is not None:
+            _check_k(k, len(node_xy))
         return regular_grid_deploy(k, bbox)
     if strategy == DEGREE_CENTRALITY:
         return degree_centrality_deploy(k, node_xy, weights, snap_to_nodes=snap_to_nodes)
@@ -354,10 +356,15 @@ def place(strategy: str, k: int, *, bbox=None, node_xy=None, weights=None,
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def gateway_ids(k: int) -> list[str]:
+    """The ids of K gateways, in position order, as every artifact writes them."""
+    return [f"gw{j:03d}" for j in range(k)]
+
+
 def export_gateways_csv(gateways: GatewaySet, path=None) -> None:
     """Write ``gw_id,x,y,strategy,k,seed`` rows to ``path``, or to stdout when
     None.  Placement is not random, so ``seed`` is always 0."""
     xy, n = gateways.positions, len(gateways.positions)
     write_csv(path, "gw_id,x,y,strategy,k,seed", [
-        text([f"gw{idx:03d}" for idx in range(n)]), floats(xy[:, 0]), floats(xy[:, 1]),
+        text(gateway_ids(n)), floats(xy[:, 0]), floats(xy[:, 1]),
         *(text([value] * n) for value in (gateways.strategy, gateways.k, 0))])

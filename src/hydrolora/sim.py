@@ -15,7 +15,8 @@ first start is not floored), exactly ``max(t + gap, t + floor)`` per uplink
 since rounding is monotone.  A device stops at the horizon or when its
 battery cannot afford another uplink, and draws more blocks while it can go on.
 Devices are walked ``_DEVICES_PER_BLOCK`` at a time, each block through all
-of its rounds, so the round arrays stay that many rows tall.
+of its rounds, so the round arrays stay that many rows tall; a block's uplinks,
+sorted by device, are stored before the next block is drawn.
 
 Reception model, first order: a gateway hears a copy of an uplink iff the
 static link RSSI clears the SF sensitivity.  Uplinks are ordered by start
@@ -55,6 +56,7 @@ from .csvio import floats, text, write_csv
 from .errors import NoDevices, NoGateways
 from .inp import WaterNetwork
 from .lora import EnergyModel, PropagationModel, RadioConfig, airtime, assign_sfs, link_rssi_matrix
+from .placement import gateway_ids
 from .rng import substream, substream_states
 
 ROUND = 256  # draws per block: the unit in which a device consumes its substream
@@ -173,14 +175,15 @@ class SimulationResult:
 
 def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndarray,
              max_sends: np.ndarray, horizon_s: float):
-    """Start times, device indices and channel picks of every uplink, in no particular
-    order.  Devices are walked ``_DEVICES_PER_BLOCK`` at a time; each round of a block
-    draws one row per still-active device, in the documented order."""
+    """Yield the start times, device indices and channel picks of the uplinks of
+    each ``_DEVICES_PER_BLOCK`` block of devices, in ascending device order, each
+    device's uplinks in start order.  Each round of a block draws one row per
+    still-active device, in the documented order."""
     n = len(min_gap)
     periodic = traffic.mode == "periodic"
     active = np.flatnonzero(max_sends > 0)
     if horizon_s == 0 or not active.size:  # nothing to send: derive no substream state
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return
     # One generator draws every row: each device's substream state is swapped
     # in before its row and read back after, so later rounds resume it exactly.
     rng = np.random.Generator(np.random.PCG64(0))
@@ -188,14 +191,10 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
     last = np.zeros(n)  # start of each device's latest uplink
     # Periodic: the gap the next round starts with; the first round starts at the phase.
     pending = np.full(n, 0.0 if traffic.first_offset_s is None else traffic.first_offset_s)
-    # Start times, device indices and channel picks, filled up to ``size``.  Each is
-    # regrown to twice what it must hold, one column at a time; the pages past
-    # ``size`` are never written, so they are never resident.
-    columns, size = [np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)], 0
     for lo in range(0, active.size, _DEVICES_PER_BLOCK):
         block = active[lo:lo + _DEVICES_PER_BLOCK]
         states = dict(zip(block.tolist(), substream_states(seed, "traffic", last=block.tolist())))
-        first = True
+        first, rounds = True, []
         while block.size:
             gaps = np.zeros((block.size, ROUND))
             picks = np.empty((block.size, ROUND), dtype=np.int64)
@@ -224,21 +223,15 @@ def _traffic(seed: int, traffic: TrafficModel, n_channels: int, min_gap: np.ndar
 
             count = np.minimum((times < horizon_s).sum(axis=1), max_sends[block] - sent[block])
             take = np.arange(ROUND) < count[:, None]
-            end = size + int(count.sum())
-            if end > len(columns[0]):
-                for c, column in enumerate(columns):
-                    columns[c] = np.empty(2 * end, dtype=column.dtype)
-                    columns[c][:size] = column[:size]
-            for column, part in zip(columns, (times[take], np.repeat(block, count), picks[take])):
-                column[size:end] = part
-            size = end
+            rounds.append((times[take], np.repeat(block, count), picks[take]))
             sent[block] += count
             last[block] = times[:, -1]
             block = block[(count == ROUND) & (sent[block] < max_sends[block])]
             first = False
-    for column in columns:
-        column.resize(size, refcheck=False)
-    return tuple(columns)
+        # Rounds are in start order, so a stable sort by device keeps each device's uplinks in it.
+        # Each column is joined inside the yield, so no unsorted copy is held beside its sorted one.
+        by_device = np.argsort(np.concatenate([part[1] for part in rounds]), kind="stable")
+        yield tuple(np.concatenate(column)[by_device] for column in zip(*rounds))
 
 
 class TrafficStore:
@@ -248,11 +241,12 @@ class TrafficStore:
     count; using it with others raises ValueError.  Within it a device's
     uplinks are keyed by its duty-cycle floor and battery cap, the only
     per-device inputs of ``_traffic``, so a device whose SF changes is drawn
-    again.  The uplinks of one draw are appended device by device: start
-    times (float64), channel picks (the smallest integer type) and, filled
-    the first time an export writes them, the ``repr`` of each start time as
-    bytes.  An uplink costs 9 bytes, plus the width of the longest formatted
-    start time once exported (18 bytes in a 1 h or a 24 h sweep).
+    again.  The uplinks of one draw are appended device by device, each block
+    of devices as ``_traffic`` yields it: start times (float64), channel
+    picks (the smallest integer type) and, filled the first time an export
+    writes them, the ``repr`` of each start time as bytes.  An uplink costs
+    9 bytes, plus the width of the longest formatted start time once
+    exported (18 bytes in a 1 h or a 24 h sweep).
     """
 
     def __init__(self):
@@ -292,20 +286,17 @@ class TrafficStore:
         first, count = self._first[cell], self._count[cell]
 
         miss = first < 0
-        time_s, device, pick = _traffic(seed, traffic, n_channels, min_gap, np.where(miss, max_sends, 0),
-                                        horizon_s)
-        size, drawn = len(self), np.bincount(device, minlength=n)
-        by_device = np.argsort(device, kind="stable")
-        del device
-        # Grown in place, which realloc can do without a second copy.  No view
-        # of a column leaves the store (its reads are copies), so the
-        # reference count check, which a profiler's reference trips, is off.
-        self._time_s.resize(size + len(by_device), refcheck=False)
-        self._time_s[size:] = time_s[by_device]
-        del time_s
-        self._pick.resize(size + len(by_device), refcheck=False)
-        self._pick[size:] = pick[by_device]
-        del pick, by_device
+        size, drawn = len(self), np.zeros(n, dtype=np.int64)
+        for time_s, device, pick in _traffic(seed, traffic, n_channels, min_gap, np.where(miss, max_sends, 0),
+                                             horizon_s):
+            # Grown in place, which realloc can do without a second copy.  No view
+            # of a column leaves the store (its reads are copies), so the
+            # reference count check, which a profiler's reference trips, is off.
+            start = len(self)
+            for column, part in ((self._time_s, time_s), (self._pick, pick)):
+                column.resize(start + len(part), refcheck=False)
+                column[start:] = part
+            drawn += np.bincount(device, minlength=n)
         first[miss] = size + (np.cumsum(drawn) - drawn)[miss]
         count[miss] = drawn[miss]
         self._first[cell], self._count[cell] = first, count
@@ -504,7 +495,7 @@ def simulate(
     records = Transmissions(
         time_s=time_s, device_index=device, channel_index=pick, outcome_code=outcome, best_gw_index=best_gw,
         store_row=row, devices=devices, channels_hz=np.asarray(cfg.channels_hz, dtype=np.int64),
-        gateway_ids=tuple(f"gw{j:03d}" for j in range(k)), store=store,
+        gateway_ids=tuple(gateway_ids(k)), store=store,
     )
 
     sample_times = np.arange(0.0, horizon_s + BATTERY_SAMPLE_S / 2, BATTERY_SAMPLE_S)

@@ -22,6 +22,14 @@ peak above what was resident going in: its result and its transients.
   SF7 duty-cycle floor): 52 895 uplinks, a 1.2 MiB result.  With the round
   arrays of every active device (N x 256 each) live at once the rise here
   was 38 MB; walking the devices 256 at a time it is 4.0 to 5.0 MB.
+- The same traffic over 24 h drawn into a ``TrafficStore``: 1 273 089
+  uplinks, 11 MB in the store plus 20 MB of returned rows and device
+  indices.  With the whole draw held in columns regrown to twice their
+  size, then sorted by device into the store, the rise was 49 MB in every
+  process layout tried (environments padded by 0 to 8000 bytes); with each
+  block of devices sorted and appended as it is drawn, 32.5 to 40.0 MB,
+  the upper end in layouts where the heap the block draws freed stays
+  resident.
 - One 1 h simulation of the same network at K = 96 on a regular grid, plus
   the export of its CSVs: 52 895 uplinks.  The rise here was 17.5 MB while
   the simulator held several copies of its per-uplink and N x K arrays and
@@ -61,6 +69,7 @@ PAPER_FIXTURE = dict(n_nodes=4419, n_reservoirs=3, seed=0)
 NEIGHBOURS_MAX_MB = 20.0
 INGEST_MAX_MB = 17.0
 TRAFFIC_MAX_MB = 16.0
+STORE_DRAW_MAX_MB = 44.0
 READ_INP_MAX_MB = 8.0
 SIMULATION_MAX_MB = 13.0
 SHARED_STORE_MAX_MB = 17.0
@@ -146,8 +155,13 @@ def test_neighbour_lists_and_ingest_stay_within_their_memory_bounds(tmp_path):
 
 
 def test_traffic_stays_within_its_memory_bound():
-    traffic = start("result = _traffic(10, TrafficModel(), 3, min_gap, max_sends, 3600.0)")
+    traffic = start("result = list(_traffic(10, TrafficModel(), 3, min_gap, max_sends, 3600.0))")
     assert rise_mb(traffic) <= TRAFFIC_MAX_MB
+
+
+def test_a_day_of_traffic_drawn_into_a_store_stays_within_its_memory_bound():
+    draw = start("result = TrafficStore().uplinks(10, TrafficModel(), 3, min_gap, max_sends, 86400.0)")
+    assert rise_mb(draw) <= STORE_DRAW_MAX_MB
 
 
 def test_read_inp_leaves_little_resident(tmp_path):

@@ -296,6 +296,7 @@ class TestDispatchAndExport:
         ("greedy_coverage", dict(node_xy=np.ones((4, 3)), weights=np.ones(4)), r"got shapes \(4, 3\) and \(4,\)$"),
         ("degree_centrality", dict(node_xy=np.ones(4), weights=np.ones(4)), r"got shapes \(4,\) and \(4,\)$"),
         ("degree_centrality", dict(node_xy=XY4), r"got shapes \(4, 2\) and \(\)$"),
+        ("degree_centrality", dict(node_xy=3.0, weights=np.ones(1)), r"got shapes \(\) and \(1,\)$"),
         ("regular_grid", {}, r"^bbox must be \(x_min, y_min, x_max, y_max\), got None$"),
         ("regular_grid", dict(bbox=(0.0, 0.0, 1.0)), r"got \(0.0, 0.0, 1.0\)$"),
         ("regular_grid", dict(bbox=(10.0, 0.0, 0.0, 1.0)), r"nonnegative, got \(10.0, 0.0, 0.0, 1.0\)$"),
@@ -317,6 +318,12 @@ class TestDispatchAndExport:
         bbox = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
         with pytest.raises(KExceedsN, match=f"^K={k} exceeds node count 12$"):
             place(strategy, k, bbox=bbox, node_xy=xy, weights=weights)
+
+    def test_a_placement_equals_only_itself(self):
+        """``==`` answers with a bool instead of comparing the position arrays,
+        which raised ValueError for two gateways or more."""
+        a, b = (place("regular_grid", 2, bbox=UNIT) for _ in range(2))
+        assert (a == a, a == b, a != b) == (True, False, True)
 
     def test_export_csv(self, tmp_path):
         gws = regular_grid_deploy(2, UNIT)

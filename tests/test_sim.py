@@ -305,15 +305,14 @@ class TestDeterminism:
         assert not np.array_equal(a.link_rssi_dbm, c.link_rssi_dbm)
 
 
-def sorted_traffic(columns):
-    time_s, device, pick = columns
-    order = np.lexsort((device, time_s))
-    return time_s[order].tolist(), device[order].tolist(), pick[order].tolist()
+def drawn_traffic(args):
+    """The blocks ``_traffic(*args)`` yields, concatenated, as lists."""
+    return tuple(np.concatenate(column).tolist() for column in zip(*sim._traffic(*args)))
 
 
 def per_device_traffic(seed, traffic, n_channels, min_gap, max_sends, horizon_s):
-    """The uplinks of each device in turn, drawn lazily through the oracle's own
-    ``integers``/``exponential``/``uniform`` calls, sorted like ``sorted_traffic``."""
+    """The uplinks of each device in turn, in start order, drawn lazily through
+    the oracle's own ``integers``/``exponential``/``uniform`` calls."""
     uplinks = []
     for i in range(len(min_gap) if horizon_s > 0 else 0):
         stream = _DeviceTraffic(seed, i, traffic, n_channels)
@@ -322,11 +321,12 @@ def per_device_traffic(seed, traffic, n_channels, min_gap, max_sends, horizon_s)
             uplinks.append((t, i, stream.next_channel()))
             sent += 1
             t = max(t + stream.next_gap(), t + min_gap[i])
-    return tuple(map(list, zip(*sorted(uplinks)))) if uplinks else ([], [], [])
+    return tuple(map(list, zip(*uplinks))) if uplinks else ([], [], [])
 
 
 class TestTrafficRounds:
-    """``_traffic`` walks devices a block at a time; that may not change a draw."""
+    """``_traffic`` walks devices a block at a time; that may not change a draw
+    or the (device, start) order of the uplinks."""
 
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     @pytest.mark.parametrize("traffic", [
@@ -346,7 +346,27 @@ class TestTrafficRounds:
         args = (3, traffic, n_channels, min_gap, max_sends, 2000.0)
         expected = per_device_traffic(*args)
         assert len(expected[0]) > 3 * ROUND
-        assert sorted_traffic(sim._traffic(*args)) == expected
+        assert drawn_traffic(args) == expected
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("traffic", [
+        TrafficModel(mode="poisson", period_s=5000.0),  # most devices send nothing in 600 s
+        TrafficModel(mode="periodic", first_offset_s=600.0),  # no device sends
+    ], ids=["sparse", "late"])
+    def test_blocks_that_send_nothing_add_nothing_to_a_store(self, monkeypatch, block, traffic):
+        """A store appends each block as it comes; a block without uplinks
+        appends nothing, and the rows of later blocks stay where they belong."""
+        monkeypatch.setattr(sim, "_DEVICES_PER_BLOCK", block)
+        min_gap, max_sends = np.zeros(24), np.full(24, 10**6, dtype=np.int64)
+        args = (5, traffic, 3, min_gap, max_sends, 600.0)
+        expected = per_device_traffic(*args)
+        per_block = np.bincount(expected[1], minlength=24).reshape(-1, block).sum(axis=1).tolist()
+        # Sparse: blocks that send nothing follow the first, which sends; late: no block sends.
+        assert 0 in per_block and (per_block[0] > 0) == (traffic.mode == "poisson")
+        store = sim.TrafficStore()
+        row, device = store.uplinks(*args)
+        assert (store.time_s(row).tolist(), device.tolist(), store.pick(row).tolist()) == expected
+        assert len(store) == len(row)
 
 
 class TestBestGateway:

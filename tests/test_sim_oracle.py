@@ -129,6 +129,7 @@ def assert_same_csvs(new, ref, tmp_path):
             "channels": (868_100_000,), "capture_db": 0.0})
 @example(p={**BASE, "shadowing_db": 6.0, "battery_uplinks": 3.5, "period_s": 30.0})
 @example(p={**BASE, "horizon_s": 0.0})
+@example(p={**BASE, "mode": "periodic", "first_offset_s": 1800.0})  # every device starts at the horizon
 def test_columnar_core_matches_event_loop_oracle(p, tmp_path):
     new, ref = run_both(p)
     assert_same_result(new, ref)
